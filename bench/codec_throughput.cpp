@@ -473,11 +473,11 @@ void emit_codec_json() {
     Bytes chunked_1, chunked_n;
     exec::configure(exec::Config{1});
     const double ms1 = bench::min_ms(3, [&] {
-      chunked_1 = jpeg::compress_chunked(big.image, 75, eo, {}, &cstats);
+      chunked_1 = jpeg::compress(big.image, 75, eo, {}, &cstats);
     });
     exec::configure(exec::Config{n_threads});
     const double msn = bench::min_ms(3, [&] {
-      chunked_n = jpeg::compress_chunked(big.image, 75, eo, {}, &cstats);
+      chunked_n = jpeg::compress(big.image, 75, eo, {}, &cstats);
     });
     exec::configure(exec::Config{});
     const bool chunk_identical = chunked_1 == chunked_n;

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "puppies/common/bytes.h"
 #include "puppies/image/image.h"
@@ -11,132 +10,29 @@
 
 namespace puppies::jpeg {
 
-/// Chunked (bounded-memory) forward pipeline: instead of materializing the
-/// whole image in every intermediate representation (8-bit RGB planes, float
-/// YCbCr planes, decimated chroma planes), the encoder streams one band of
-/// MCU rows at a time through rgb_to_ycc_row -> downsample2x_row ->
-/// fdct8x8/quantize_scan. Pixel-domain scratch is O(width * chunk rows)
-/// regardless of image height; only the quantized coefficients (the actual
-/// output) are image-sized. Every kernel invocation sees exactly the rows
-/// the whole-image path would have handed it, so the resulting coefficients,
-/// scan masks, and serialized bytes are identical for every chunk size, on
-/// every SIMD tier, at every thread count (DESIGN.md §11).
+/// The band pipeline — the library's only pixel <-> coefficient codec; the
+/// whole-image entry points of jpeg/codec.h (forward_transform,
+/// inverse_transform, decode_to_rgb, compress, decompress) are thin wrappers
+/// over it. The encoder streams one band of MCU rows at a time through
+/// rgb_to_ycc_row -> downsample2x_row -> fdct8x8/quantize_scan, and the
+/// decoder pulls dequantize_idct -> upsample_row -> ycc_to_rgb_row the same
+/// way, so pixel scratch is O(width * chunk rows) regardless of image
+/// height. Coefficients, scan masks, pixels and bytes are identical for
+/// every chunk size, SIMD tier, and thread count; tests pin them against
+/// the serial seed codec in tests/ref_pixel_codec.h (DESIGN.md §11, §13).
 
-/// Tuning knob for the chunked pipeline.
-struct ChunkOptions {
-  /// MCU rows per chunk (one MCU row = 8 pixel rows in 4:4:4, 16 in 4:2:0).
-  /// 0 resolves set_default_chunk_mcu_rows(), then the PUPPIES_CHUNK_ROWS
-  /// environment variable, then the built-in default of 16.
-  int mcu_rows = 0;
-};
-
-/// What one chunked encode cost in scratch.
-struct ChunkStats {
-  /// High-water mark of the per-chunk pixel scratch (the McuRowBuffer).
-  /// Depends on width, chunk rows, and chroma mode — never on image height.
-  std::size_t peak_chunk_bytes = 0;
-  int chunks = 0;          ///< number of bands processed
-  int chunk_mcu_rows = 0;  ///< resolved MCU-rows-per-chunk knob
-};
-
-/// Geometry of one band of MCU rows moving through the pipeline: full-image
-/// pixel rows [y_begin, y_end) covering MCU rows [mcu_row_begin,
-/// mcu_row_end). The last chunk of an image may be short.
-struct ChunkView {
-  int index = 0;
-  int y_begin = 0;
-  int y_end = 0;
-  int mcu_row_begin = 0;
-  int mcu_row_end = 0;
-
-  int pixel_rows() const { return y_end - y_begin; }
-  /// Block-row range of a component with vertical sampling factor v.
-  /// Component grids are padded to whole MCUs, so the end never overshoots.
-  int block_row_begin(int v) const { return mcu_row_begin * v; }
-  int block_row_end(int v) const { return mcu_row_end * v; }
-};
-
-/// Reusable scratch for the band in flight: the 8-bit RGB rows, the
-/// color-converted float YCbCr band, and (4:2:0 only) the 2x-decimated
-/// chroma band. Allocated once per encode and reused for every chunk — this
-/// buffer IS the pixel-domain memory footprint of a chunked encode.
-class McuRowBuffer {
- public:
-  /// Scratch for up to `pixel_rows` rows of a `width`-pixel image.
-  McuRowBuffer(int width, int pixel_rows, ChromaMode mode);
-
-  int width() const { return w_; }
-  int pixel_rows() const { return rows_; }
-  /// Decimated chroma width, (width + 1) / 2. Zero unless 4:2:0.
-  int chroma_width() const { return cw_; }
-
-  std::uint8_t* r_row(int i) { return rgb_.data() + u8_idx(0, i); }
-  std::uint8_t* g_row(int i) { return rgb_.data() + u8_idx(1, i); }
-  std::uint8_t* b_row(int i) { return rgb_.data() + u8_idx(2, i); }
-
-  float* y_row(int i) { return ycc_.data() + f_idx(0, i); }
-  float* cb_row(int i) { return ycc_.data() + f_idx(1, i); }
-  float* cr_row(int i) { return ycc_.data() + f_idx(2, i); }
-
-  /// Decimated chroma rows (4:2:0 only), chroma_width() samples each.
-  float* cb2_row(int i) { return chroma2_.data() + c_idx(0, i); }
-  float* cr2_row(int i) { return chroma2_.data() + c_idx(1, i); }
-
-  /// Total scratch bytes held (what ChunkStats::peak_chunk_bytes reports).
-  std::size_t bytes() const;
-
- private:
-  std::size_t u8_idx(int plane, int i) const {
-    return (static_cast<std::size_t>(plane) * rows_ + i) * w_;
-  }
-  std::size_t f_idx(int plane, int i) const { return u8_idx(plane, i); }
-  std::size_t c_idx(int plane, int i) const {
-    return (static_cast<std::size_t>(plane) * crows_ + i) * cw_;
-  }
-  int w_ = 0;
-  int rows_ = 0;
-  int cw_ = 0;
-  int crows_ = 0;
-  std::vector<std::uint8_t> rgb_;
-  std::vector<float> ycc_;
-  std::vector<float> chroma2_;
-};
-
-/// One row of clamped 8-bit RGB handed to the pipeline.
-struct RgbRow {
-  const std::uint8_t* r;
-  const std::uint8_t* g;
-  const std::uint8_t* b;
-};
-
-/// Supplies image row `y`. The scratch pointers address width()-pixel
-/// buffers owned by the pipeline; the source either fills them and returns
-/// them, or returns pointers into longer-lived storage it owns (zero-copy).
-/// Called concurrently from pool workers with distinct `y` and distinct
-/// scratch — it must be safe under that access pattern (pure reads of shared
-/// state plus writes through the passed pointers qualify).
-using RgbRowSource = std::function<RgbRow(
-    int y, std::uint8_t* scratch_r, std::uint8_t* scratch_g,
-    std::uint8_t* scratch_b)>;
-
-/// Core chunked forward transform over an abstract row source. Fails with
-/// InvalidArgument (mentioning PUPPIES_MAX_PIXELS) before allocating
-/// anything if width * height exceeds max_decode_pixels() — the chunked
-/// path turns that limit into a real bounded-allocation guarantee, since
-/// pixel scratch never exceeds one band.
-CoefficientImage forward_transform_chunked_rows(
-    int width, int height, const RgbRowSource& source, int quality,
-    ChromaMode mode = ChromaMode::k444, const ChunkOptions& copt = {},
-    ScanIndex* scan = nullptr, ChunkStats* stats = nullptr);
-
-/// Chunked equivalent of forward_transform(rgb_to_ycc(img), ...): reads the
-/// RGB planes row by row, never materializing the float YCbCr image.
+/// forward_transform(rgb_to_ycc(img), ...) without the float YCbCr image:
+/// reads the RGB planes row by row and converts one band at a time. Like
+/// every entry point of the pipeline, fails with InvalidArgument (mentioning
+/// PUPPIES_MAX_PIXELS) before allocating anything if width * height exceeds
+/// max_decode_pixels() — pixel scratch never exceeds one band, so that limit
+/// is a real bounded-allocation guarantee.
 CoefficientImage forward_transform_chunked(
     const RgbImage& img, int quality, ChromaMode mode = ChromaMode::k444,
     const ChunkOptions& copt = {}, ScanIndex* scan = nullptr,
     ChunkStats* stats = nullptr);
 
-/// Chunked equivalent of the serving-side clamp + re-encode:
+/// The serving-side clamp + re-encode:
 /// forward_transform(rgb_to_ycc(ycc_to_rgb(ycc)), ...) without ever holding
 /// the clamped RGB image or the round-tripped YCbCr planes. `ycc` is the
 /// unclamped float result of a pixel-domain transform chain.
@@ -144,13 +40,6 @@ CoefficientImage forward_transform_clamped_chunked(
     const YccImage& ycc, int quality, ChromaMode mode = ChromaMode::k444,
     const ChunkOptions& copt = {}, ScanIndex* scan = nullptr,
     ChunkStats* stats = nullptr);
-
-/// Chunked end-to-end encode; byte-identical to compress() (which routes
-/// through this pipeline) and to the historical whole-image encoder.
-Bytes compress_chunked(const RgbImage& img, int quality,
-                       const EncodeOptions& opts = {},
-                       const ChunkOptions& copt = {},
-                       ChunkStats* stats = nullptr);
 
 /// One row of clamped 8-bit RGB handed out by the chunked inverse pipeline.
 /// Called serially in top-to-bottom row order; the pointers address the
@@ -160,22 +49,15 @@ using RgbRowSink = std::function<void(
     const std::uint8_t* b)>;
 
 /// Chunked (bounded-memory) inverse pipeline: the decode-side mirror of
-/// forward_transform_chunked_rows. Pulls dequantize+IDCT -> chroma upsample
+/// the forward band pipeline. Pulls dequantize+IDCT -> chroma upsample
 /// -> color-convert through one band of MCU rows at a time and hands each
 /// clamped RGB row to `sink`; pixel-domain scratch is O(width * chunk rows)
 /// regardless of image height, gated by max_decode_pixels() like the encode
-/// side. Every kernel sees exactly the values the whole-image
-/// inverse_transform/ycc_to_rgb pair computes, so the rows are bit-identical
-/// to decode_to_rgb's at every chunk size, SIMD tier, and thread count
+/// side. decode_to_rgb() is this pipeline with a sink into an RgbImage; the
+/// rows are identical at every chunk size, SIMD tier, and thread count
 /// (DESIGN.md §13). Requires a 3-component image, like inverse_transform.
 void inverse_transform_chunked(const CoefficientImage& coeffs,
                                const RgbRowSink& sink,
-                               const ChunkOptions& copt = {},
-                               ChunkStats* stats = nullptr);
-
-/// Convenience sink-into-image wrapper; the result equals decode_to_rgb()
-/// bit for bit (tests_decode differences them across chunk sizes).
-RgbImage decode_to_rgb_chunked(const CoefficientImage& coeffs,
                                const ChunkOptions& copt = {},
                                ChunkStats* stats = nullptr);
 

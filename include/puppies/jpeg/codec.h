@@ -52,23 +52,43 @@ struct EncodeStats {
   std::size_t saved_bytes = 0;
 };
 
+/// Execution knob of the pixel codec, the band pipeline of jpeg/chunk.h:
+/// output is identical for every band size, SIMD tier, and thread count.
+struct ChunkOptions {
+  /// MCU rows per chunk (one MCU row = 8 pixel rows in 4:4:4, 16 in 4:2:0).
+  /// 0 resolves set_default_chunk_mcu_rows(), then the PUPPIES_CHUNK_ROWS
+  /// environment variable, then the built-in default of 16.
+  int mcu_rows = 0;
+};
+
+/// What one pass of the band pipeline cost in scratch.
+struct ChunkStats {
+  /// High-water mark of the per-band pixel scratch. Depends on width, chunk
+  /// rows, chroma mode, and the entry point — never on image height.
+  std::size_t peak_chunk_bytes = 0;
+  int chunks = 0;          ///< number of bands processed
+  int chunk_mcu_rows = 0;  ///< resolved MCU-rows-per-chunk knob
+};
+
 /// Pixel -> quantized-coefficient domain at the given JPEG quality.
 /// `mode` selects full-resolution (4:4:4) or subsampled (4:2:0) chroma.
 /// A non-null `scan` is filled with per-block nonzero masks for serialize().
+/// The float input may lie outside [0,255] and is never clamped, so a shadow
+/// image round-trips linearly (DESIGN.md §5.3).
 CoefficientImage forward_transform(const YccImage& img, int quality,
                                    ChromaMode mode = ChromaMode::k444,
-                                   ScanIndex* scan = nullptr);
-CoefficientImage forward_transform(const GrayU8& img, int quality,
                                    ScanIndex* scan = nullptr);
 
 /// Coefficient -> pixel domain. The YccImage result is float and UNCLAMPED:
 /// perturbed regions may exceed [0,255], and keeping them linear is what
-/// makes shadow-ROI subtraction exact (DESIGN.md §5.3).
+/// makes shadow-ROI subtraction exact (DESIGN.md §5.3). Requires a
+/// 3-component image.
 YccImage inverse_transform(const CoefficientImage& coeffs);
-GrayU8 inverse_transform_gray(const CoefficientImage& coeffs);
 
-/// Convenience: decode straight to clamped 8-bit RGB (display path).
-RgbImage decode_to_rgb(const CoefficientImage& coeffs);
+/// Decode straight to clamped 8-bit RGB (display path), one band at a time.
+RgbImage decode_to_rgb(const CoefficientImage& coeffs,
+                       const ChunkOptions& copt = {},
+                       ChunkStats* stats = nullptr);
 
 /// Entropy-encodes a coefficient image into a JFIF byte stream. Lossless:
 /// parse(serialize(x)) == x.
@@ -188,22 +208,21 @@ void diff_dirty_mcus(const CoefficientImage& a, const CoefficientImage& b,
 std::vector<ScanSegment> scan_restart_segments(
     std::span<const std::uint8_t> entropy, int expected_segments);
 
-/// Enables/disables the segment-parallel decode path (default on; the
-/// PUPPIES_PARALLEL_DECODE environment variable set to "0" disables it).
+/// Test/bench hook for the segment-parallel decode path (default on).
 /// Purely an execution knob: parse output and errors are identical either
 /// way — tests and benches toggle it to difference the two paths.
 bool parallel_decode_enabled();
 
-/// Overrides the knob at runtime; pass -1 to restore env/default resolution.
+/// 0 disables the path; any other value (conventionally -1) re-enables it.
 void set_parallel_decode_enabled(int enabled);
 
-/// Enables/disables the delta re-encode path (default on; the PUPPIES_DELTA
-/// environment variable set to "0" disables it). When off, serialize_delta
-/// routes straight to serialize() — output bytes are identical either way,
-/// so benches toggle it to difference delta-on vs delta-off serving.
+/// Test/bench hook for the delta re-encode path (default on). When off,
+/// serialize_delta routes straight to serialize() — output bytes are
+/// identical either way, so benches toggle it to difference delta-on vs
+/// delta-off serving.
 bool delta_reencode_enabled();
 
-/// Overrides the knob at runtime; pass -1 to restore env/default resolution.
+/// 0 disables the path; any other value (conventionally -1) re-enables it.
 void set_delta_reencode_enabled(int enabled);
 
 /// Decoder allocation guard: the largest width*height (in pixels) parse()
@@ -219,9 +238,10 @@ std::size_t max_decode_pixels();
 /// env/default resolution.
 void set_max_decode_pixels(std::size_t pixels);
 
-/// End-to-end conveniences.
+/// End-to-end conveniences; `stats` reports compress()'s band scratch.
 Bytes compress(const RgbImage& img, int quality,
-               const EncodeOptions& opts = {});
+               const EncodeOptions& opts = {}, const ChunkOptions& copt = {},
+               ChunkStats* stats = nullptr);
 RgbImage decompress(std::span<const std::uint8_t> data);
 
 /// The PSP-side "compression" transform: requantizes all coefficients to a

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "puppies/common/bytes.h"
@@ -10,7 +11,10 @@
 namespace puppies::transform {
 
 /// The PSP-side image transformations PUPPIES supports (Table I columns).
-enum class Kind : std::uint8_t {
+/// 32-bit so that Step has no padding bytes: a Step's object representation
+/// (what gtest prints for a parameterized test's name) is then fully set by
+/// its value, never by stale stack bytes. The wire format stays one byte.
+enum class Kind : std::int32_t {
   kIdentity = 0,
   kScale,        ///< bilinear resize to (arg0 x arg1)
   kCropAligned,  ///< crop to 8-aligned `rect`

@@ -23,20 +23,25 @@ PUPPIES_SIMD=scalar ./build/tests/tests_kernels
 # must hold on every tier, and ctest above only covered the native one.
 PUPPIES_SIMD=scalar ./build/tests/tests_encode
 
-# The chunked-pipeline differential suite on the forced-scalar tier too:
-# chunked vs whole-image byte identity is claimed per SIMD tier.
+# The band-pipeline differential suite on the forced-scalar tier too: byte
+# identity of the band pipeline vs the test-side seed reference is claimed
+# per SIMD tier.
 PUPPIES_SIMD=scalar ./build/tests/tests_chunked
 
-# The decode differential suite on the forced-scalar tier: the chunked
+# The decode differential suite on the forced-scalar tier: the band
 # inverse pipeline and the fused dequantize+IDCT kernel claim bit identity
-# with the whole-image decode per SIMD tier, and ctest only ran the native
-# one.
+# with the test-side seed reference per SIMD tier, and ctest only ran the
+# native one.
 PUPPIES_SIMD=scalar ./build/tests/tests_decode
 
 # The ROI-delta differential suite on the forced-scalar tier: delta-vs-full
 # byte identity is claimed per SIMD tier (the fuzz matrix walks the tiers
 # this host supports; the forced-scalar run pins the override path too).
 PUPPIES_SIMD=scalar ./build/tests/tests_delta
+
+# The serving benchmark's own checks: its unit tests, and that
+# BENCHMARK.json still equals the spec servebench/run.py declares.
+python3 servebench/run.py --self-test
 
 # Loopback serving smoke: a real `puppies serve` process (ephemeral port,
 # discovered through --port-file), the zipfian load harness against it over
@@ -134,4 +139,4 @@ cmake -B build-ubsan -S . -DPUPPIES_SANITIZE=undefined
 cmake --build build-ubsan -j"$(nproc)" --target tests_fuzz
 ./build-ubsan/tests/tests_fuzz
 
-echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode/tests_delta + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec delta byte-identity gate + tests_store/tests_chunked/tests_net/tests_decode/tests_delta under TSan + tests_fuzz under ASan/UBSan)"
+echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode/tests_delta + servebench self-test + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec delta byte-identity gate + tests_store/tests_chunked/tests_net/tests_decode/tests_delta under TSan + tests_fuzz under ASan/UBSan)"

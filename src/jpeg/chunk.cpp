@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
+#include <vector>
 
 #include "puppies/exec/parallel_for.h"
 #include "puppies/jpeg/dct.h"
@@ -21,13 +23,12 @@ constexpr int kDefaultChunkMcuRows = 16;
 /// 0 = unset: resolve PUPPIES_CHUNK_ROWS, else the default.
 std::atomic<int> g_chunk_mcu_rows{0};
 
-/// Band-resident version of the whole-image encoder's extract_block: reads
-/// block (bx, by) of a plane_w x plane_h component plane whose rows
+/// Reads block (bx, by) of a plane_w x plane_h component plane whose rows
 /// [band_y0, band_y0 + band rows) are resident at `band` (stride plane_w).
-/// Border clamping replicates Plane::clamped_at exactly — the clamped row
-/// index never exceeds plane_h - 1, which the caller guarantees is resident
-/// whenever a block row needs it (padded block rows only exist in the last
-/// band) — so the extracted samples match the whole-image path bit for bit.
+/// Border blocks replicate the last column and row, exactly like
+/// Plane::clamped_at — the clamped row index never exceeds plane_h - 1,
+/// which the caller guarantees is resident whenever a block row needs it
+/// (padded block rows only exist in the last band).
 void extract_band_block(const float* band, int plane_w, int plane_h,
                         int band_y0, int bx, int by, float* out) {
   const int x0 = bx * 8, y0 = by * 8;
@@ -49,52 +50,116 @@ void extract_band_block(const float* band, int plane_w, int plane_h,
   }
 }
 
-}  // namespace
-
-McuRowBuffer::McuRowBuffer(int width, int pixel_rows, ChromaMode mode)
-    : w_(width), rows_(pixel_rows) {
-  require(width > 0 && pixel_rows > 0, "McuRowBuffer dimensions");
-  rgb_.resize(3 * static_cast<std::size_t>(w_) * rows_);
-  ycc_.resize(3 * static_cast<std::size_t>(w_) * rows_);
-  if (mode == ChromaMode::k420) {
-    cw_ = (width + 1) / 2;
-    crows_ = (pixel_rows + 1) / 2;
-    chroma2_.resize(2 * static_cast<std::size_t>(cw_) * crows_);
-  }
-}
-
-std::size_t McuRowBuffer::bytes() const {
-  return rgb_.size() * sizeof(std::uint8_t) + ycc_.size() * sizeof(float) +
-         chroma2_.size() * sizeof(float);
-}
-
-namespace {
-
-/// Invoked serially at the top of every band, before stage 1 reads any of
-/// the band's rows — transcode_chunked uses it to pull the inverse pipeline
-/// forward so the row source only ever performs pure reads.
-using BandHook = std::function<void(const ChunkView&)>;
-
-CoefficientImage forward_chunked_impl(int width, int height,
-                                      const RgbRowSource& source, int quality,
-                                      ChromaMode mode, const ChunkOptions& copt,
-                                      ScanIndex* scan, ChunkStats* stats,
-                                      const BandHook& before_band) {
-  require(width > 0 && height > 0, "chunked encode dimensions");
-  // Bounded-allocation guarantee: the same pixel-footprint limit the
-  // decoder enforces gates the encode side, and past this check the
-  // pipeline only ever allocates the output coefficients plus one band of
-  // pixel scratch.
+/// Bounded-allocation gate shared by both directions: past this check the
+/// pipeline allocates only the output plus one band of pixel scratch.
+void require_pixel_limit(int width, int height, const char* direction) {
   const std::uint64_t pixels =
       static_cast<std::uint64_t>(width) * static_cast<std::uint64_t>(height);
   require(pixels <= max_decode_pixels(),
           "image " + std::to_string(width) + "x" + std::to_string(height) +
-              " exceeds the encode limit of " +
+              " exceeds the " + direction + " limit of " +
               std::to_string(max_decode_pixels()) +
               " pixels (PUPPIES_MAX_PIXELS)");
+}
 
-  const int chunk_mcu_rows =
-      copt.mcu_rows > 0 ? copt.mcu_rows : default_chunk_mcu_rows();
+int resolve_chunk_rows(const ChunkOptions& copt) {
+  return copt.mcu_rows > 0 ? copt.mcu_rows : default_chunk_mcu_rows();
+}
+
+/// One row of clamped 8-bit RGB handed to the forward pipeline.
+struct RgbRow {
+  const std::uint8_t* r;
+  const std::uint8_t* g;
+  const std::uint8_t* b;
+};
+
+/// Supplies image row `y`: either fills the width-pixel scratch rows it is
+/// handed and returns them, or returns rows of storage it owns (zero-copy).
+/// Called concurrently from pool workers with distinct `y` and distinct
+/// scratch, so it may only read shared state.
+using RgbRowSource = std::function<RgbRow(int y, std::uint8_t* r,
+                                          std::uint8_t* g, std::uint8_t* b)>;
+
+/// The forward pipeline's band scratch, allocated once per encode and
+/// reused for every band: the 2x-decimated chroma rows in 4:2:0, plus u8
+/// RGB and float YCbCr rows once a converting stage 1 asks for them. This
+/// IS the pixel-domain footprint of an encode (ChunkStats::peak_chunk_bytes).
+struct ForwardScratch {
+  ForwardScratch(int width, int pixel_rows, ChromaMode mode)
+      : w(width),
+        rows(pixel_rows),
+        cw(mode == ChromaMode::k420 ? (width + 1) / 2 : 0),
+        crows(mode == ChromaMode::k420 ? (pixel_rows + 1) / 2 : 0) {
+    chroma2.resize(2 * static_cast<std::size_t>(cw) * crows);
+  }
+  /// Sizes the RGB and YCbCr rows on first use (a no-op afterwards).
+  void ensure_convert_rows() {
+    if (!ycc.empty()) return;
+    rgb.resize(3 * static_cast<std::size_t>(w) * rows);
+    ycc.resize(3 * static_cast<std::size_t>(w) * rows);
+  }
+  std::uint8_t* rgb_row(int plane, int i) { return rgb.data() + at(plane, i); }
+  float* ycc_row(int plane, int i) { return ycc.data() + at(plane, i); }
+  /// Decimated chroma row i of plane 0 (Cb) or 1 (Cr), cw samples.
+  float* chroma2_row(int plane, int i) {
+    return chroma2.data() + (static_cast<std::size_t>(plane) * crows + i) * cw;
+  }
+  std::size_t bytes() const {
+    return rgb.size() + (ycc.size() + chroma2.size()) * sizeof(float);
+  }
+
+  int w, rows, cw, crows;
+  std::vector<std::uint8_t> rgb;
+  std::vector<float> ycc, chroma2;
+
+ private:
+  std::size_t at(int plane, int i) const {
+    return (static_cast<std::size_t>(plane) * rows + i) * w;
+  }
+};
+
+/// Float YCbCr rows of the band in flight: the band's first row of each
+/// full-resolution plane, row stride = image width.
+struct YccBand {
+  const float* y;
+  const float* cb;
+  const float* cr;
+};
+
+/// Stage 1 of the forward pipeline: makes image rows [y0, y1) available as
+/// float YCbCr. Called serially once per band, before any later stage reads
+/// the band.
+using BandStage =
+    std::function<YccBand(int y0, int y1, ForwardScratch& scratch)>;
+
+/// Stage 1 for an RGB row source: produce the band's rows and color-convert
+/// them into the scratch. Rows are independent and each writes only its own
+/// scratch slots. `source` must outlive the returned stage.
+BandStage convert_rows(const RgbRowSource& source) {
+  return [&source](int y0, int y1, ForwardScratch& buf) {
+    buf.ensure_convert_rows();
+    const kernels::KernelTable& k = kernels::active();
+    exec::parallel_for(static_cast<std::size_t>(y1 - y0), [&](std::size_t r) {
+      const int i = static_cast<int>(r);
+      const RgbRow rgb = source(y0 + i, buf.rgb_row(0, i), buf.rgb_row(1, i),
+                                buf.rgb_row(2, i));
+      k.rgb_to_ycc_row(rgb.r, rgb.g, rgb.b, buf.w, buf.ycc_row(0, i),
+                       buf.ycc_row(1, i), buf.ycc_row(2, i));
+    });
+    return YccBand{buf.ycc_row(0, 0), buf.ycc_row(1, 0), buf.ycc_row(2, 0)};
+  };
+}
+
+/// The forward band pipeline: stage 1 either converts into the scratch (RGB
+/// sources) or hands out rows of caller-owned float planes.
+CoefficientImage forward_bands(int width, int height, const BandStage& stage1,
+                               int quality, ChromaMode mode,
+                               const ChunkOptions& copt, ScanIndex* scan,
+                               ChunkStats* stats) {
+  require(width > 0 && height > 0, "chunked encode dimensions");
+  require_pixel_limit(width, height, "encode");
+
+  const int chunk_mcu_rows = resolve_chunk_rows(copt);
   CoefficientImage out(width, height, 3, luma_quant_table(quality),
                        chroma_quant_table(quality), mode);
   if (scan) {
@@ -108,106 +173,100 @@ CoefficientImage forward_chunked_impl(int width, int height,
   const int total_mcu_rows = out.blocks_h() / out.component(0).v;
   const int nchunks =
       (total_mcu_rows + chunk_mcu_rows - 1) / chunk_mcu_rows;
-  McuRowBuffer buf(width, std::min(total_mcu_rows, chunk_mcu_rows) * mcu_px,
-                   mode);
-  if (stats) {
-    stats->peak_chunk_bytes = buf.bytes();
-    stats->chunks = nchunks;
-    stats->chunk_mcu_rows = chunk_mcu_rows;
-  }
+  ForwardScratch buf(width, std::min(total_mcu_rows, chunk_mcu_rows) * mcu_px,
+                     mode);
 
   const kernels::QuantConstants qc_luma = quant_constants(out.qtable_for(0));
   const kernels::QuantConstants qc_chroma = quant_constants(out.qtable_for(1));
   const kernels::KernelTable& k = kernels::active();
 
   for (int ci = 0; ci < nchunks; ++ci) {
-    ChunkView view;
-    view.index = ci;
-    view.mcu_row_begin = ci * chunk_mcu_rows;
-    view.mcu_row_end =
-        std::min(total_mcu_rows, view.mcu_row_begin + chunk_mcu_rows);
-    view.y_begin = view.mcu_row_begin * mcu_px;
-    view.y_end = std::min(height, view.mcu_row_end * mcu_px);
-    const int nrows = view.pixel_rows();
-    if (before_band) before_band(view);
+    // Band = MCU rows [m0, m1) = pixel rows [y0, y1); the last may be short.
+    const int m0 = ci * chunk_mcu_rows;
+    const int m1 = std::min(total_mcu_rows, m0 + chunk_mcu_rows);
+    const int y0 = m0 * mcu_px;
+    const int y1 = std::min(height, m1 * mcu_px);
+    const YccBand band = stage1(y0, y1, buf);
 
-    // Stage 1: produce this band's pixel rows and color-convert them. Rows
-    // are independent and each writes only its own band slots.
-    exec::parallel_for(static_cast<std::size_t>(nrows), [&](std::size_t row) {
-      const int i = static_cast<int>(row);
-      const RgbRow rgb =
-          source(view.y_begin + i, buf.r_row(i), buf.g_row(i), buf.b_row(i));
-      k.rgb_to_ycc_row(rgb.r, rgb.g, rgb.b, width, buf.y_row(i),
-                       buf.cb_row(i), buf.cr_row(i));
-    });
-
-    // Stage 2 (4:2:0): decimate the band's chroma rows. y_begin is a
-    // multiple of 16, so every output chroma row's two source rows live in
-    // this band; the odd-height tail duplicates the last image row, exactly
-    // like the whole-image downsample2x.
-    int cy_begin = 0;
+    // Stage 2 (4:2:0): decimate the band's chroma rows. y0 is a multiple of
+    // 16, so every output chroma row's two source rows live in this band;
+    // the odd-height tail duplicates the last image row, as a clamped
+    // vertical tap would.
+    const int cy0 = y0 / 2;
     if (mode == ChromaMode::k420) {
-      cy_begin = view.y_begin / 2;
-      const int cy_end = (view.y_end + 1) / 2;
       exec::parallel_for(
-          static_cast<std::size_t>(cy_end - cy_begin), [&](std::size_t j) {
-            const int cy = cy_begin + static_cast<int>(j);
-            const int ya = 2 * cy - view.y_begin;
-            const int yb = std::min(2 * cy + 1, height - 1) - view.y_begin;
+          static_cast<std::size_t>((y1 + 1) / 2 - cy0), [&](std::size_t j) {
             const int i = static_cast<int>(j);
-            k.downsample2x_row(buf.cb_row(ya), buf.cb_row(yb), width,
-                               buf.chroma_width(), buf.cb2_row(i));
-            k.downsample2x_row(buf.cr_row(ya), buf.cr_row(yb), width,
-                               buf.chroma_width(), buf.cr2_row(i));
+            const std::size_t ya = static_cast<std::size_t>(2 * i) * width;
+            const std::size_t yb =
+                static_cast<std::size_t>(std::min(2 * i + 1, height - 1 - y0)) *
+                width;
+            k.downsample2x_row(band.cb + ya, band.cb + yb, width, buf.cw,
+                               buf.chroma2_row(0, i));
+            k.downsample2x_row(band.cr + ya, band.cr + yb, width, buf.cw,
+                               buf.chroma2_row(1, i));
           });
     }
 
-    // Stage 3: DCT + quantize this band's block rows of every component.
-    // Same kernels, same per-block inputs, same preallocated output slots
-    // as the whole-image encode_component_plane — hence bit-identical.
-    for (int c = 0; c < 3; ++c) {
+    // Stage 3: DCT + quantize this band's block rows of every component,
+    // all components in one pass on the pool (component grids are padded to
+    // whole MCUs, so MCU rows [m0, m1) are block rows [m0 * v, m1 * v)).
+    // Every block's samples are exactly those of a whole-plane read, and
+    // each block writes its own preallocated slot — hence bit-identical for
+    // every band size and thread count.
+    int rows[3], total = 0;
+    for (int c = 0; c < 3; ++c)
+      total += rows[c] = (m1 - m0) * out.component(c).v;
+    exec::parallel_for(static_cast<std::size_t>(total), [&](std::size_t job) {
+      int c = 0, rel = static_cast<int>(job);
+      while (rel >= rows[c]) rel -= rows[c++];
       Component& comp = out.component(c);
-      const kernels::QuantConstants& qc = c == 0 ? qc_luma : qc_chroma;
       const bool subsampled = mode == ChromaMode::k420 && c > 0;
-      const float* band = c == 0 ? buf.y_row(0)
-                          : subsampled
-                              ? (c == 1 ? buf.cb2_row(0) : buf.cr2_row(0))
-                              : (c == 1 ? buf.cb_row(0) : buf.cr_row(0));
+      const float* plane = c == 0       ? band.y
+                           : subsampled ? buf.chroma2_row(c - 1, 0)
+                           : c == 1     ? band.cb
+                                        : band.cr;
       const int plane_w = subsampled ? (width + 1) / 2 : width;
       const int plane_h = subsampled ? (height + 1) / 2 : height;
-      const int band_y0 = subsampled ? cy_begin : view.y_begin;
-      const int br0 = view.block_row_begin(comp.v);
-      const int br1 = view.block_row_end(comp.v);
-      std::uint64_t* mask_out =
-          scan ? scan->masks[static_cast<std::size_t>(c)].data() : nullptr;
-      exec::parallel_for(
-          static_cast<std::size_t>(br1 - br0), [&](std::size_t rel) {
-            const int by = br0 + static_cast<int>(rel);
-            FloatBlock samples, coeffs;
-            for (int bx = 0; bx < comp.blocks_w; ++bx) {
-              extract_band_block(band, plane_w, plane_h, band_y0, bx, by,
-                                 samples.data());
-              k.fdct8x8(samples.data(), coeffs.data());
-              const std::uint64_t m =
-                  k.quantize_scan(coeffs.data(), qc, comp.block(bx, by).data());
-              if (mask_out)
-                mask_out[static_cast<std::size_t>(by) * comp.blocks_w +
-                         static_cast<std::size_t>(bx)] = m;
-            }
-          });
-    }
+      const int band_y0 = subsampled ? cy0 : y0;
+      const int by = m0 * comp.v + rel;
+      FloatBlock samples, coeffs;
+      for (int bx = 0; bx < comp.blocks_w; ++bx) {
+        extract_band_block(plane, plane_w, plane_h, band_y0, bx, by,
+                           samples.data());
+        k.fdct8x8(samples.data(), coeffs.data());
+        const std::uint64_t m = k.quantize_scan(
+            coeffs.data(), c == 0 ? qc_luma : qc_chroma,
+            comp.block(bx, by).data());
+        if (scan)
+          scan->masks[static_cast<std::size_t>(c)]
+                     [static_cast<std::size_t>(by) * comp.blocks_w +
+                      static_cast<std::size_t>(bx)] = m;
+      }
+    });
+  }
+  if (stats) {
+    stats->peak_chunk_bytes = buf.bytes();
+    stats->chunks = nchunks;
+    stats->chunk_mcu_rows = chunk_mcu_rows;
   }
   return out;
 }
 
 }  // namespace
 
-CoefficientImage forward_transform_chunked_rows(
-    int width, int height, const RgbRowSource& source, int quality,
-    ChromaMode mode, const ChunkOptions& copt, ScanIndex* scan,
-    ChunkStats* stats) {
-  return forward_chunked_impl(width, height, source, quality, mode, copt,
-                              scan, stats, {});
+CoefficientImage forward_transform(const YccImage& img, int quality,
+                                   ChromaMode mode, ScanIndex* scan) {
+  const int w = img.width(), h = img.height();
+  require(img.cb.width() == w && img.cb.height() == h &&
+              img.cr.width() == w && img.cr.height() == h,
+          "forward_transform expects full-resolution YCbCr planes");
+  // The float planes already hold the band's rows: stage 1 points at them.
+  const BandStage stage1 = [&img](int y0, int, ForwardScratch&) {
+    return YccBand{img.y.row(y0).data(), img.cb.row(y0).data(),
+                   img.cr.row(y0).data()};
+  };
+  return forward_bands(w, h, stage1, quality, mode, {}, scan, nullptr);
 }
 
 CoefficientImage forward_transform_chunked(const RgbImage& img, int quality,
@@ -221,8 +280,8 @@ CoefficientImage forward_transform_chunked(const RgbImage& img, int quality,
     return RgbRow{img.r.row(y).data(), img.g.row(y).data(),
                   img.b.row(y).data()};
   };
-  return forward_transform_chunked_rows(img.width(), img.height(), source,
-                                        quality, mode, copt, scan, stats);
+  return forward_bands(img.width(), img.height(), convert_rows(source),
+                       quality, mode, copt, scan, stats);
 }
 
 CoefficientImage forward_transform_clamped_chunked(const YccImage& ycc,
@@ -232,20 +291,20 @@ CoefficientImage forward_transform_clamped_chunked(const YccImage& ycc,
                                                    ScanIndex* scan,
                                                    ChunkStats* stats) {
   // Clamp one row at a time through the same kernel ycc_to_rgb uses, so the
-  // round trip float YCC -> u8 RGB -> float YCC matches the whole-image
-  // path sample for sample without materializing either intermediate.
+  // round trip float YCC -> u8 RGB -> float YCC matches
+  // rgb_to_ycc(ycc_to_rgb(ycc)) sample for sample without materializing
+  // either intermediate.
   const RgbRowSource source = [&ycc](int y, std::uint8_t* r, std::uint8_t* g,
                                      std::uint8_t* b) {
     ycc_to_rgb_row_u8(ycc, y, r, g, b);
     return RgbRow{r, g, b};
   };
-  return forward_transform_chunked_rows(ycc.width(), ycc.height(), source,
-                                        quality, mode, copt, scan, stats);
+  return forward_bands(ycc.width(), ycc.height(), convert_rows(source),
+                       quality, mode, copt, scan, stats);
 }
 
-Bytes compress_chunked(const RgbImage& img, int quality,
-                       const EncodeOptions& opts, const ChunkOptions& copt,
-                       ChunkStats* stats) {
+Bytes compress(const RgbImage& img, int quality, const EncodeOptions& opts,
+               const ChunkOptions& copt, ChunkStats* stats) {
   ScanIndex scan;
   const CoefficientImage coeffs =
       forward_transform_chunked(img, quality, opts.chroma, copt, &scan, stats);
@@ -254,20 +313,22 @@ Bytes compress_chunked(const RgbImage& img, int quality,
 
 namespace {
 
-/// Band-resident inverse pipeline shared by inverse_transform_chunked and
-/// transcode_chunked: dequantize+IDCT the block rows covering a pixel-row
-/// range of every component, upsample subsampled chroma through its one-row
-/// vertical halo, color-convert, and clamp. Every kernel invocation sees
-/// exactly the values the whole-image inverse_transform/ycc_to_rgb pair
-/// would have handed it — same dequantize_idct samples, same upsample taps,
-/// same row-wise color convert — so the clamped RGB rows are bit-identical
-/// to decode_to_rgb's for every band size (DESIGN.md §13). Rows stay
-/// resident (readable through r_row/g_row/b_row) until the next
-/// decode_rows() call.
+/// Band-resident inverse pipeline behind every decode entry point:
+/// dequantize+IDCT the block rows covering a pixel-row range of every
+/// component, upsample subsampled chroma through its one-row vertical halo,
+/// then either color-convert and clamp into the band's RGB rows or — with an
+/// `out` image — leave the unclamped float YCbCr rows in `out`'s planes.
+/// Every kernel invocation sees exactly the values a whole-plane decode
+/// would hand it — same dequantize_idct samples, same upsample taps, same
+/// row-wise color convert — so the output is bit-identical for every band
+/// size (DESIGN.md §13). RGB rows stay resident (readable through
+/// r_row/g_row/b_row) until the next decode_rows() call.
 class InverseBandDecoder {
  public:
-  InverseBandDecoder(const CoefficientImage& coeffs, int cap_rows)
+  InverseBandDecoder(const CoefficientImage& coeffs, int cap_rows,
+                     YccImage* out = nullptr)
       : coeffs_(coeffs),
+        out_(out),
         w_(coeffs.width()),
         h_(coeffs.height()),
         cap_rows_(std::min(cap_rows, coeffs.height())) {
@@ -281,8 +342,10 @@ class InverseBandDecoder {
       qc_[c] = quant_constants(coeffs.qtable_for(c));
     }
     subsampled_ = cw_[1] != w_ || ch_[1] != h_;
-    ycc_.resize(3 * static_cast<std::size_t>(w_) * cap_rows_);
-    rgb_.resize(3 * static_cast<std::size_t>(w_) * cap_rows_);
+    if (!out_) {
+      ycc_.resize(3 * static_cast<std::size_t>(w_) * cap_rows_);
+      rgb_.resize(3 * static_cast<std::size_t>(w_) * cap_rows_);
+    }
     if (subsampled_) {
       // A band of N output rows reads at most N * (ch/h) + 1 chroma rows
       // (the vertical taps are monotonic in y), block-aligned at both ends:
@@ -301,13 +364,14 @@ class InverseBandDecoder {
             "decode_rows range must be block-aligned and fit the band");
     y0_ = y0;
     const kernels::KernelTable& k = kernels::active();
-    decode_band(k, 0, ycc_row(0, 0), w_, h_, y0, y0, y1);
     if (!subsampled_) {
-      decode_band(k, 1, ycc_row(1, 0), w_, h_, y0, y0, y1);
-      decode_band(k, 2, ycc_row(2, 0), w_, h_, y0, y0, y1);
+      decode_blocks(k, {{0, ycc_row(0, 0), w_, y0, y1},
+                        {1, ycc_row(1, 0), w_, y0, y1},
+                        {2, ycc_row(2, 0), w_, y0, y1}});
     } else {
       upsample_chroma(k, y0, y1);
     }
+    if (out_) return;  // unclamped YCbCr rows are already in place
     // Color-convert + clamp through the same kernel row op ycc_to_rgb uses.
     exec::parallel_for(static_cast<std::size_t>(y1 - y0), [&](std::size_t i) {
       const int r = static_cast<int>(i);
@@ -328,52 +392,71 @@ class InverseBandDecoder {
   }
 
  private:
-  /// Band-resident deposit_block: writes samples + 128 into rows
-  /// [max(row_begin, 8*by), min(row_end, 8*by + 8)), columns clipped to
-  /// plane_w — the same values deposit_block writes into a whole plane.
-  static void deposit_band_block(float* band, int plane_w, int base_row,
-                                 int row_begin, int row_end, int bx, int by,
+  /// Writes samples + 128 into rows [max(row_begin, 8*by),
+  /// min(row_end, 8*by + 8)) of a band whose first row is row_begin, columns
+  /// clipped to plane_w — the same values a whole-plane deposit writes.
+  static void deposit_band_block(float* band, int plane_w, int row_begin,
+                                 int row_end, int bx, int by,
                                  const float* samples) {
     const int x0 = bx * 8, y0 = by * 8;
     const int ya = std::max(y0, row_begin);
     const int yb = std::min(y0 + 8, row_end);
     const int xe = std::min(8, plane_w - x0);
+    if (ya == y0 && yb == y0 + 8 && xe == 8) {
+      // Interior block: fixed trip counts let the compiler vectorize.
+      for (int y = 0; y < 8; ++y) {
+        float* dst =
+            band + static_cast<std::size_t>(y0 + y - row_begin) * plane_w + x0;
+        for (int x = 0; x < 8; ++x) dst[x] = samples[y * 8 + x] + 128.f;
+      }
+      return;
+    }
     for (int y = ya; y < yb; ++y) {
       float* dst =
-          band + static_cast<std::size_t>(y - base_row) * plane_w + x0;
+          band + static_cast<std::size_t>(y - row_begin) * plane_w + x0;
       const float* src = samples + (y - y0) * 8;
       for (int x = 0; x < xe; ++x) dst[x] = src[x] + 128.f;
     }
   }
 
-  /// Dequantize+IDCT the block rows of component `c` covering plane rows
-  /// [row_begin, row_end) into `band` (stride plane_w, first resident row
-  /// base_row). Identical kernels and per-block inputs to
-  /// decode_component_plane; block rows write disjoint band rows.
-  void decode_band(const kernels::KernelTable& k, int c, float* band,
-                   int plane_w, int plane_h, int base_row, int row_begin,
-                   int row_end) {
-    const Component& comp = coeffs_.component(c);
-    const int end = std::min(row_end, plane_h);
-    const int br0 = row_begin / 8;
-    const int br1 = std::min((end + 7) / 8, comp.blocks_h);
-    exec::parallel_for(
-        static_cast<std::size_t>(br1 - br0), [&](std::size_t rel) {
-          const int by = br0 + static_cast<int>(rel);
-          FloatBlock samples;
-          for (int bx = 0; bx < comp.blocks_w; ++bx) {
-            k.dequantize_idct(comp.block(bx, by).data(), qc_[c],
-                              samples.data());
-            deposit_band_block(band, plane_w, base_row, row_begin, end, bx,
-                               by, samples.data());
-          }
-        });
+  /// Component `c`'s share of a band decode: its plane rows [row_begin,
+  /// row_end) land in `band` (stride plane_w, first resident row
+  /// row_begin). row_begin is block-aligned and row_end at most the plane
+  /// height.
+  struct PlaneRows {
+    int c;
+    float* band;
+    int plane_w, row_begin, row_end;
+  };
+
+  /// Dequantize+IDCT the block rows covering every listed component's rows,
+  /// all components in one pass on the pool; block rows write disjoint band
+  /// rows.
+  void decode_blocks(const kernels::KernelTable& k,
+                     std::initializer_list<PlaneRows> planes) {
+    int rows[3], total = 0, n = 0;
+    for (const PlaneRows& p : planes)
+      total += rows[n++] = (p.row_end + 7) / 8 - p.row_begin / 8;
+    exec::parallel_for(static_cast<std::size_t>(total), [&](std::size_t job) {
+      int i = 0, rel = static_cast<int>(job);
+      while (rel >= rows[i]) rel -= rows[i++];
+      const PlaneRows& p = planes.begin()[i];
+      const Component& comp = coeffs_.component(p.c);
+      const int by = p.row_begin / 8 + rel;
+      FloatBlock samples;
+      for (int bx = 0; bx < comp.blocks_w; ++bx) {
+        k.dequantize_idct(comp.block(bx, by).data(), qc_[p.c], samples.data());
+        deposit_band_block(p.band, p.plane_w, p.row_begin, p.row_end, bx, by,
+                           samples.data());
+      }
+    });
   }
 
   /// 4:2:0 chroma for output rows [y0, y1): decode the chroma block rows the
   /// band's vertical taps read (including the one-row halo past each edge —
   /// boundary block rows decode again in the next band, bit-identically),
-  /// then replicate upsample_to's per-row tap selection exactly.
+  /// then select each output row's two clamped vertical taps exactly as a
+  /// whole-plane bilinear upsample does.
   void upsample_chroma(const kernels::KernelTable& k, int y0, int y1) {
     const int cw = cw_[1], ch = ch_[1];
     const float sy = static_cast<float>(ch) / h_;
@@ -389,8 +472,9 @@ class InverseBandDecoder {
     cbase_ = ca / 8 * 8;
     const int cend = std::min((cb / 8 + 1) * 8, ch);
     require(cend - cbase_ <= ccap_, "chroma band overflow");
-    decode_band(k, 1, chroma_row(0, cbase_), cw, ch, cbase_, cbase_, cend);
-    decode_band(k, 2, chroma_row(1, cbase_), cw, ch, cbase_, cbase_, cend);
+    decode_blocks(k, {{0, ycc_row(0, 0), w_, y0, y1},
+                      {1, chroma_row(0, cbase_), cw, cbase_, cend},
+                      {2, chroma_row(1, cbase_), cw, cbase_, cend}});
     exec::parallel_for(static_cast<std::size_t>(y1 - y0), [&](std::size_t i) {
       const int y = y0 + static_cast<int>(i);
       const float fy = (y + 0.5f) * sy - 0.5f;
@@ -406,7 +490,10 @@ class InverseBandDecoder {
     });
   }
 
+  /// Band row i of YCbCr plane `plane`: the caller's output plane when
+  /// decoding into a YccImage, else the band scratch.
   float* ycc_row(int plane, int i) {
+    if (out_) return out_->component(plane).row(y0_ + i).data();
     return ycc_.data() +
            (static_cast<std::size_t>(plane) * cap_rows_ + i) * w_;
   }
@@ -425,6 +512,7 @@ class InverseBandDecoder {
   }
 
   const CoefficientImage& coeffs_;
+  YccImage* out_ = nullptr;
   int w_ = 0, h_ = 0;
   int cap_rows_ = 0;
   int ccap_ = 0;
@@ -438,28 +526,22 @@ class InverseBandDecoder {
   std::vector<std::uint8_t> rgb_;
 };
 
-}  // namespace
-
-void inverse_transform_chunked(const CoefficientImage& coeffs,
-                               const RgbRowSink& sink,
-                               const ChunkOptions& copt, ChunkStats* stats) {
-  // Same bounded-allocation gate as the forward pipeline: past this check,
-  // pixel-domain scratch never exceeds one band.
-  const std::uint64_t pixels = static_cast<std::uint64_t>(coeffs.width()) *
-                               static_cast<std::uint64_t>(coeffs.height());
-  require(pixels <= max_decode_pixels(),
-          "image " + std::to_string(coeffs.width()) + "x" +
-              std::to_string(coeffs.height()) +
-              " exceeds the decode limit of " +
-              std::to_string(max_decode_pixels()) +
-              " pixels (PUPPIES_MAX_PIXELS)");
-  const int chunk_mcu_rows =
-      copt.mcu_rows > 0 ? copt.mcu_rows : default_chunk_mcu_rows();
+/// Runs the inverse pipeline band by band over the whole image; `emit` sees
+/// each decoded band [y0, y1) while its rows are resident. A non-null `out`
+/// is sized to the image after the pixel gate and receives the unclamped
+/// YCbCr rows instead of the RGB band.
+void decode_bands(
+    const CoefficientImage& coeffs, YccImage* out, const ChunkOptions& copt,
+    ChunkStats* stats,
+    const std::function<void(const InverseBandDecoder&, int, int)>& emit) {
+  require_pixel_limit(coeffs.width(), coeffs.height(), "decode");
+  if (out) *out = YccImage(coeffs.width(), coeffs.height());
+  const int chunk_mcu_rows = resolve_chunk_rows(copt);
   const int mcu_px = 8 * coeffs.v_max();
   const int total_mcu_rows = coeffs.blocks_h() / coeffs.component(0).v;
   const int nchunks = (total_mcu_rows + chunk_mcu_rows - 1) / chunk_mcu_rows;
-  InverseBandDecoder dec(coeffs,
-                         std::min(total_mcu_rows, chunk_mcu_rows) * mcu_px);
+  InverseBandDecoder dec(
+      coeffs, std::min(total_mcu_rows, chunk_mcu_rows) * mcu_px, out);
   if (stats) {
     stats->peak_chunk_bytes = dec.bytes();
     stats->chunks = nchunks;
@@ -471,13 +553,30 @@ void inverse_transform_chunked(const CoefficientImage& coeffs,
     const int y0 = m0 * mcu_px;
     const int y1 = std::min(coeffs.height(), m1 * mcu_px);
     dec.decode_rows(y0, y1);
-    for (int y = y0; y < y1; ++y)
-      sink(y, dec.r_row(y), dec.g_row(y), dec.b_row(y));
+    if (emit) emit(dec, y0, y1);
   }
 }
 
-RgbImage decode_to_rgb_chunked(const CoefficientImage& coeffs,
+}  // namespace
+
+void inverse_transform_chunked(const CoefficientImage& coeffs,
+                               const RgbRowSink& sink,
                                const ChunkOptions& copt, ChunkStats* stats) {
+  decode_bands(coeffs, nullptr, copt, stats,
+               [&sink](const InverseBandDecoder& dec, int y0, int y1) {
+                 for (int y = y0; y < y1; ++y)
+                   sink(y, dec.r_row(y), dec.g_row(y), dec.b_row(y));
+               });
+}
+
+YccImage inverse_transform(const CoefficientImage& coeffs) {
+  YccImage out;
+  decode_bands(coeffs, &out, {}, nullptr, {});
+  return out;
+}
+
+RgbImage decode_to_rgb(const CoefficientImage& coeffs,
+                       const ChunkOptions& copt, ChunkStats* stats) {
   RgbImage out(coeffs.width(), coeffs.height());
   const std::size_t row_bytes = static_cast<std::size_t>(coeffs.width());
   inverse_transform_chunked(
@@ -492,29 +591,33 @@ RgbImage decode_to_rgb_chunked(const CoefficientImage& coeffs,
   return out;
 }
 
+RgbImage decompress(std::span<const std::uint8_t> data) {
+  return decode_to_rgb(parse(data));
+}
+
 CoefficientImage transcode_chunked(const CoefficientImage& coeffs, int quality,
                                    ChromaMode mode, const ChunkOptions& copt,
                                    ScanIndex* scan, ChunkStats* stats) {
   const int w = coeffs.width(), h = coeffs.height();
   // Band on the OUTPUT geometry: the forward pipeline decides which rows it
-  // needs next, and the before-band hook pulls the inverse decoder forward
-  // to cover exactly that range — serially, before stage 1 reads a row, so
-  // the row source stays a pure read under the pool's concurrency. Forward
+  // needs next, and stage 1 first pulls the inverse decoder forward to
+  // cover exactly that range — serially, before any row is read, so the row
+  // source stays a pure read under the pool's concurrency. Forward
   // bands start on output-MCU-row multiples, which are always 8-aligned,
   // satisfying decode_rows' block alignment whatever the input's sampling.
-  const int chunk_mcu_rows =
-      copt.mcu_rows > 0 ? copt.mcu_rows : default_chunk_mcu_rows();
   const int out_mcu_px = 8 * (mode == ChromaMode::k420 ? 2 : 1);
-  InverseBandDecoder dec(coeffs, chunk_mcu_rows * out_mcu_px);
+  InverseBandDecoder dec(coeffs, resolve_chunk_rows(copt) * out_mcu_px);
   const RgbRowSource source = [&dec](int y, std::uint8_t*, std::uint8_t*,
                                      std::uint8_t*) {
     return RgbRow{dec.r_row(y), dec.g_row(y), dec.b_row(y)};
   };
-  const BandHook hook = [&dec](const ChunkView& v) {
-    dec.decode_rows(v.y_begin, v.y_end);
+  const BandStage convert = convert_rows(source);
+  const BandStage stage1 = [&](int y0, int y1, ForwardScratch& buf) {
+    dec.decode_rows(y0, y1);
+    return convert(y0, y1, buf);
   };
-  CoefficientImage out = forward_chunked_impl(w, h, source, quality, mode,
-                                              copt, scan, stats, hook);
+  CoefficientImage out =
+      forward_bands(w, h, stage1, quality, mode, copt, scan, stats);
   // Both band buffers are resident at once; stats reports the true
   // pixel-domain footprint of the transcode (still height-independent).
   if (stats) stats->peak_chunk_bytes += dec.bytes();

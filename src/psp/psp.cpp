@@ -256,8 +256,9 @@ store::TransformResult PspService::compute_transform(
       // Realistic path: clamp and re-encode, streamed one band of MCU rows
       // at a time (jpeg/chunk.h) so per-request pixel scratch stays
       // O(width * chunk rows) instead of three more full-image planes.
-      // Byte-identical to the whole-image clamp + forward_transform, which
-      // is why the chunk knob never enters the transform cache key.
+      // Byte-identical to forward_transform(rgb_to_ycc(ycc_to_rgb(...))) at
+      // every band size, which is why the chunk knob never enters the
+      // transform cache key.
       metrics::ScopedTimer reencode(
           metrics::histogram("psp.transform.reencode_ms"));
       metrics::counter("psp.codec.forward").add();

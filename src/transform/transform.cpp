@@ -389,6 +389,11 @@ void write_chain(ByteWriter& out, const Chain& chain) {
 
 Chain read_chain(ByteReader& in) {
   const std::uint32_t n = in.u32();
+  // Every step is 61 wire bytes (kind, 6 i32 args, 9 i32 kernel taps), so a
+  // count the payload cannot hold is rejected before it sizes anything.
+  constexpr std::size_t kStepBytes = 1 + 6 * 4 + 9 * 4;
+  if (n > in.remaining() / kStepBytes)
+    throw ParseError("transform chain longer than its payload");
   Chain chain;
   chain.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

@@ -1,13 +1,13 @@
 // Differential suite for the chunked codec pipeline (jpeg/chunk.h) and the
 // parallel restart-segment entropy encoder (DESIGN.md §11).
 //
-// The contract under test: the chunked forward transform and the
-// segment-parallel serialize are pure execution-strategy changes — for every
-// chunk size, chroma mode, perturbation scheme, Huffman table mode, restart
-// interval, and thread count, the bytes match the whole-image single-writer
-// encoder exactly. scripts/tier1.sh reruns this binary with
-// PUPPIES_SIMD=scalar and under TSan (the segment writers are new
-// shared-state parallel code).
+// The contract under test: the band pipeline and the segment-parallel
+// serialize are pure execution-strategy changes — for every chunk size,
+// chroma mode, perturbation scheme, Huffman table mode, restart interval, and
+// thread count, the bytes match the serial seed algorithm exactly (the
+// test-side reference codec in ref_pixel_codec.h, and a single-thread
+// serialize). scripts/tier1.sh reruns this binary with PUPPIES_SIMD=scalar
+// and under TSan (the segment writers are shared-state parallel code).
 
 #include <cstdint>
 #include <vector>
@@ -23,6 +23,7 @@
 #include "puppies/jpeg/codec.h"
 #include "puppies/metrics/metrics.h"
 #include "puppies/synth/synth.h"
+#include "ref_pixel_codec.h"
 
 namespace puppies {
 namespace {
@@ -70,7 +71,7 @@ struct PixelLimitGuard {
 };
 
 // ---------------------------------------------------------------------------
-// Chunked forward transform vs the whole-image transform.
+// Band forward transform vs the seed reference.
 
 TEST(ChunkedForward, MatchesWholeImageAcrossChunkSizesAndShapes) {
   // Odd sizes exercise clamped border blocks and (in 4:2:0) the duplicated
@@ -85,7 +86,7 @@ TEST(ChunkedForward, MatchesWholeImageAcrossChunkSizesAndShapes) {
          {jpeg::ChromaMode::k444, jpeg::ChromaMode::k420}) {
       jpeg::ScanIndex whole_scan;
       const jpeg::CoefficientImage whole =
-          jpeg::forward_transform(rgb_to_ycc(img), 75, mode, &whole_scan);
+          ref::forward(rgb_to_ycc(img), 75, mode, &whole_scan);
       for (int chunk : {1, 2, 5, 1000}) {
         jpeg::ChunkOptions copt;
         copt.mcu_rows = chunk;
@@ -109,8 +110,8 @@ TEST(ChunkedForward, MatchesWholeImageAcrossChunkSizesAndShapes) {
 TEST(ChunkedForward, ClampedReencodeMatchesWholeImagePath) {
   // The serving-side path: a float YCC image with out-of-range samples
   // (what a pixel-domain transform of a perturbed image produces) is
-  // clamped to u8 RGB and re-encoded. Chunked and whole-image variants must
-  // agree bit for bit, including on the clamp.
+  // clamped to u8 RGB and re-encoded. The band pipeline and the reference
+  // must agree bit for bit, including on the clamp.
   const RgbImage img = scene(97, 63);
   YccImage ycc = rgb_to_ycc(img);
   for (int y = 0; y < ycc.height(); ++y)
@@ -121,8 +122,8 @@ TEST(ChunkedForward, ClampedReencodeMatchesWholeImagePath) {
   for (jpeg::ChromaMode mode :
        {jpeg::ChromaMode::k444, jpeg::ChromaMode::k420}) {
     jpeg::ScanIndex whole_scan;
-    const jpeg::CoefficientImage whole = jpeg::forward_transform(
-        rgb_to_ycc(ycc_to_rgb(ycc)), 85, mode, &whole_scan);
+    const jpeg::CoefficientImage whole =
+        ref::forward(rgb_to_ycc(ycc_to_rgb(ycc)), 85, mode, &whole_scan);
     jpeg::ChunkOptions copt;
     copt.mcu_rows = 2;
     jpeg::ScanIndex scan;
@@ -137,10 +138,16 @@ TEST(ChunkedForward, CompressRoutesThroughChunkedPipeline) {
   const RgbImage img = scene(97, 63);
   jpeg::EncodeOptions eo;
   eo.chroma = jpeg::ChromaMode::k420;
+  jpeg::ScanIndex scan;
+  const Bytes want = jpeg::serialize(
+      ref::forward(rgb_to_ycc(img), 75, eo.chroma, &scan), eo, &scan);
+  jpeg::ChunkOptions copt;
+  copt.mcu_rows = 2;
   jpeg::ChunkStats stats;
-  ASSERT_EQ(jpeg::compress(img, 75, eo),
-            jpeg::compress_chunked(img, 75, eo, {}, &stats));
+  ASSERT_EQ(jpeg::compress(img, 75, eo, copt, &stats), want);
+  EXPECT_EQ(stats.chunk_mcu_rows, 2);
   EXPECT_GT(stats.peak_chunk_bytes, 0u);
+  ASSERT_EQ(jpeg::compress(img, 75, eo), want);
 }
 
 TEST(ChunkedForward, DefaultKnobResolution) {
@@ -249,6 +256,7 @@ TEST(BoundedMemory, JustOverLimitImageFailsCleanly) {
   const RgbImage over = scene(128, 80);  // 10'240 pixels
   EXPECT_THROW(jpeg::forward_transform_chunked(over, 75), InvalidArgument);
   EXPECT_THROW(jpeg::compress(over, 75), InvalidArgument);
+  EXPECT_THROW(jpeg::forward_transform(rgb_to_ycc(over), 75), InvalidArgument);
   try {
     jpeg::forward_transform_chunked(over, 75);
     FAIL() << "expected InvalidArgument";
@@ -259,7 +267,7 @@ TEST(BoundedMemory, JustOverLimitImageFailsCleanly) {
   // A large image under the limit encodes fine.
   const RgbImage under = scene(124, 80);  // 9'920 pixels
   EXPECT_EQ(jpeg::parse(jpeg::compress(under, 75)),
-            jpeg::forward_transform(rgb_to_ycc(under), 75));
+            ref::forward(rgb_to_ycc(under), 75));
 }
 
 TEST(BoundedMemory, ScratchIsIndependentOfImageHeight) {

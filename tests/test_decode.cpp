@@ -5,11 +5,13 @@
 // The contract under test mirrors tests_chunked's encode-side contract: all
 // of these are pure execution-strategy changes — for every restart interval,
 // chroma mode, thread count, SIMD tier, and chunk size, the decoded
-// coefficients, RGB pixels, and error taxonomy match the serial whole-image
-// decoder exactly. scripts/tier1.sh reruns this binary with
-// PUPPIES_SIMD=scalar and under TSan (the segment decoders are new
-// shared-state parallel code).
+// coefficients and error taxonomy match the serial entropy decoder, and the
+// decoded pixels (clamped RGB and unclamped float YCbCr) match the serial
+// seed pixel codec kept test-side in ref_pixel_codec.h. scripts/tier1.sh
+// reruns this binary with PUPPIES_SIMD=scalar and under TSan (the segment
+// decoders are shared-state parallel code).
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -19,6 +21,7 @@
 
 #include "puppies/common/error.h"
 #include "puppies/common/rng.h"
+#include "puppies/core/pipeline.h"
 #include "puppies/exec/parallel_for.h"
 #include "puppies/exec/pool.h"
 #include "puppies/image/image.h"
@@ -29,6 +32,7 @@
 #include "puppies/psp/psp.h"
 #include "puppies/synth/synth.h"
 #include "puppies/transform/transform.h"
+#include "ref_pixel_codec.h"
 
 namespace puppies::jpeg {
 namespace {
@@ -266,19 +270,19 @@ TEST(FuzzDifferential, ParallelAndSerialAgreeOnMutants) {
 }
 
 // ---------------------------------------------------------------------------
-// Chunked inverse pipeline vs the whole-image decode.
+// Band inverse pipeline vs the seed reference.
 
 TEST(ChunkedDecode, MatchesDecodeToRgbAcrossChunkSizes) {
   for (ChromaMode chroma : {ChromaMode::k444, ChromaMode::k420}) {
     for (const auto& [w, h] : std::vector<std::pair<int, int>>{
              {33, 33}, {64, 48}, {96, 200}, {120, 88}}) {
       const CoefficientImage coeffs = parse(encode(scene(w, h), 80, 0, chroma));
-      const RgbImage want = decode_to_rgb(coeffs);
+      const RgbImage want = ycc_to_rgb(ref::inverse(coeffs));
       for (int rows : {1, 2, 5, 1000}) {
         ChunkOptions copt;
         copt.mcu_rows = rows;
         ChunkStats stats;
-        const RgbImage got = decode_to_rgb_chunked(coeffs, copt, &stats);
+        const RgbImage got = decode_to_rgb(coeffs, copt, &stats);
         ASSERT_EQ(got, want) << w << "x" << h << " chunk=" << rows
                              << " chroma=" << static_cast<int>(chroma);
         EXPECT_EQ(stats.chunk_mcu_rows, rows);
@@ -296,8 +300,8 @@ TEST(ChunkedDecode, MatchesOnEverySupportedTier) {
   copt.mcu_rows = 2;
   for (kernels::SimdTier tier : supported_tiers()) {
     kernels::configure(tier);
-    const RgbImage want = decode_to_rgb(coeffs);
-    const RgbImage got = decode_to_rgb_chunked(coeffs, copt);
+    const RgbImage want = ycc_to_rgb(ref::inverse(coeffs));
+    const RgbImage got = decode_to_rgb(coeffs, copt);
     EXPECT_EQ(got, want) << "tier=" << kernels::to_string(tier);
   }
   kernels::configure(kernels::detected_tier());
@@ -311,8 +315,8 @@ TEST(ChunkedDecode, PeakScratchIsHeightIndependent) {
   ChunkStats small, tall;
   const CoefficientImage a = parse(encode(scene(96, 64), 80, 0));
   const CoefficientImage b = parse(encode(scene(96, 256), 80, 0));
-  (void)decode_to_rgb_chunked(a, copt, &small);
-  (void)decode_to_rgb_chunked(b, copt, &tall);
+  (void)decode_to_rgb(a, copt, &small);
+  (void)decode_to_rgb(b, copt, &tall);
   EXPECT_EQ(small.peak_chunk_bytes, tall.peak_chunk_bytes);
   EXPECT_GT(tall.chunks, small.chunks);
 }
@@ -336,7 +340,52 @@ TEST(ChunkedDecode, SinkSeesEveryRowInOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming transcode vs the materializing inverse + chunked forward.
+// The float codec stays linear: inverse_transform and forward_transform
+// never clamp, which shadow-ROI subtraction depends on (DESIGN.md §5.3).
+
+TEST(FloatCodec, InverseAndForwardStayUnclampedAndMatchReference) {
+  // Perturbing the whole image at the high level pushes decoded samples far
+  // outside [0, 255]; both directions must carry them through unclamped.
+  core::RoiPolicy policy;
+  policy.key = SecretKey::from_label("unclamped-float-codec");
+  policy.scheme = core::Scheme::kBase;
+  policy.level = core::PrivacyLevel::kHigh;
+  for (ChromaMode chroma : {ChromaMode::k444, ChromaMode::k420}) {
+    for (const auto& [w, h] :
+         std::vector<std::pair<int, int>>{{97, 63}, {33, 17}, {8, 8}}) {
+      const RgbImage img = h >= 32 ? scene(w, h) : RgbImage(w, h, 200);
+      policy.rect = Rect{0, 0, w, h};
+      const CoefficientImage coeffs =
+          core::protect(parse(encode(img, 85, 0, chroma)), {policy}).perturbed;
+      const YccImage want = ref::inverse(coeffs);
+      const auto pixels = want.y.pixels();
+      ASSERT_TRUE(std::any_of(pixels.begin(), pixels.end(), [](float v) {
+        return v < 0.f || v > 255.f;
+      })) << w << "x" << h;
+      ScanIndex want_scan, got_scan;
+      const CoefficientImage want_coeffs =
+          ref::forward(want, 70, chroma, &want_scan);
+      for (int rows : {1, 2, 5, 1000}) {
+        // The whole-image entry points band on the process-wide default.
+        set_default_chunk_mcu_rows(rows);
+        const YccImage got = inverse_transform(coeffs);
+        const CoefficientImage got_coeffs =
+            forward_transform(want, 70, chroma, &got_scan);
+        set_default_chunk_mcu_rows(0);
+        const std::string at = std::to_string(w) + "x" + std::to_string(h) +
+                               " chunk=" + std::to_string(rows) + " chroma=" +
+                               std::to_string(static_cast<int>(chroma));
+        for (int c = 0; c < 3; ++c)
+          ASSERT_TRUE(got.component(c) == want.component(c)) << at;
+        ASSERT_EQ(got_coeffs, want_coeffs) << at;
+        ASSERT_EQ(got_scan.masks, want_scan.masks) << at;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Streaming transcode vs the materializing inverse + forward.
 
 TEST(ChunkedTranscode, MatchesInverseThenForwardPath) {
   for (ChromaMode in_chroma : {ChromaMode::k444, ChromaMode::k420}) {
@@ -347,8 +396,9 @@ TEST(ChunkedTranscode, MatchesInverseThenForwardPath) {
         ChunkOptions copt;
         copt.mcu_rows = rows;
         ScanIndex want_scan, got_scan;
-        const CoefficientImage want = forward_transform_clamped_chunked(
-            inverse_transform(coeffs), 60, out_chroma, copt, &want_scan);
+        const CoefficientImage want =
+            ref::forward(rgb_to_ycc(ycc_to_rgb(ref::inverse(coeffs))), 60,
+                         out_chroma, &want_scan);
         ChunkStats stats;
         const CoefficientImage got =
             transcode_chunked(coeffs, 60, out_chroma, copt, &got_scan, &stats);

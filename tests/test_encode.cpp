@@ -26,6 +26,7 @@
 #include "puppies/metrics/metrics.h"
 #include "puppies/psp/psp.h"
 #include "puppies/synth/synth.h"
+#include "ref_pixel_codec.h"
 
 using namespace puppies;
 
@@ -508,7 +509,12 @@ TEST(EncodeDifferential, GrayImageMatchesSeedEncoder) {
   for (int y = 0; y < gray.height(); ++y)
     for (int x = 0; x < gray.width(); ++x)
       gray.at(x, y) = static_cast<std::uint8_t>(rng.range(0, 255));
-  const jpeg::CoefficientImage img = jpeg::forward_transform(gray, 80);
+  // One-component coefficients through the seed block encoder: the library
+  // encodes only 3-component pixel images, but serialize() takes gray too.
+  jpeg::CoefficientImage img(gray.width(), gray.height(), 1,
+                             jpeg::luma_quant_table(80),
+                             jpeg::chroma_quant_table(80));
+  ref::encode_plane(to_float(gray), img.component(0), img.qtable_for(0));
   for (jpeg::HuffmanMode hm :
        {jpeg::HuffmanMode::kStandard, jpeg::HuffmanMode::kOptimized}) {
     jpeg::EncodeOptions opts;

@@ -163,6 +163,14 @@ TEST(Chain, ParseRejectsUnknownKind) {
   for (int i = 0; i < 6 + 9; ++i) w.i32(0);
   ByteReader r(w.bytes());
   EXPECT_THROW(read_chain(r), ParseError);
+
+  // A step count the payload cannot hold is rejected before anything is
+  // reserved: 0xFFFFFFFF steps would otherwise ask for hundreds of GB.
+  ByteWriter huge;
+  huge.u32(0xFFFFFFFFu);
+  for (int i = 0; i < 4; ++i) huge.i32(0);
+  ByteReader hr(huge.bytes());
+  EXPECT_THROW(read_chain(hr), ParseError);
 }
 
 TEST(ApplyLossless, RejectsPixelSteps) {
