@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 namespace puppies {
@@ -22,11 +24,16 @@ struct Rect {
   int bottom() const { return y + h; }   // exclusive
 
   bool contains(int px, int py) const {
-    return px >= x && py >= y && px < right() && py < bottom();
+    return px >= x && py >= y &&
+           static_cast<long long>(px) < static_cast<long long>(x) + w &&
+           static_cast<long long>(py) < static_cast<long long>(y) + h;
   }
+  /// Both containment tests compare in 64 bits: a rect read off the wire may
+  /// sit near INT_MAX, where right()/bottom() would overflow.
   bool contains(const Rect& o) const {
-    return !o.empty() && o.x >= x && o.y >= y && o.right() <= right() &&
-           o.bottom() <= bottom();
+    return !o.empty() && o.x >= x && o.y >= y &&
+           static_cast<long long>(o.x) + o.w <= static_cast<long long>(x) + w &&
+           static_cast<long long>(o.y) + o.h <= static_cast<long long>(y) + h;
   }
   bool intersects(const Rect& o) const {
     return !intersect(*this, o).empty();
@@ -65,6 +72,58 @@ struct Rect {
   bool operator==(const Rect&) const = default;
 
   std::string to_string() const;
+};
+
+/// An element of the dihedral group D4 — the 8 rotations and flips of an
+/// image: flip horizontally (if `flipped`), then rotate `quarter_turns` x 90
+/// degrees clockwise. Every composition of rotations and flips reduces to
+/// this form exactly, because each is a pure permutation of pixels (and, in
+/// the coefficient domain, of blocks with fixed sign patterns that obey the
+/// same group law). One element drives the pixel remap, the coefficient
+/// remap, ROI mapping and cache-key canonicalization alike.
+struct Dihedral {
+  int quarter_turns = 0;  ///< 0..3
+  bool flipped = false;
+
+  /// `next` applied after this element.
+  Dihedral compose(const Dihedral& next) const {
+    // flip . rot(k) == rot(-k) . flip: pulling next's flip through this
+    // element's rotation negates it.
+    const int q = next.flipped ? next.quarter_turns - quarter_turns
+                               : next.quarter_turns + quarter_turns;
+    return Dihedral{(q + 4) % 4, flipped != next.flipped};
+  }
+  Dihedral inverse() const {
+    return Dihedral{flipped ? quarter_turns : (4 - quarter_turns) % 4,
+                    flipped};
+  }
+  /// True iff the element swaps the axes (an odd number of quarter turns).
+  bool transposes() const { return quarter_turns % 2 != 0; }
+
+  /// Size of a w x h image after the element.
+  std::pair<int, int> size(int w, int h) const {
+    return transposes() ? std::pair{h, w} : std::pair{w, h};
+  }
+  /// Where pixel (px, py) of a w x h image lands.
+  std::pair<int, int> map_point(int px, int py, int w, int h) const {
+    if (flipped) px = w - 1 - px;
+    for (int i = 0; i < quarter_turns; ++i) {
+      std::tie(px, py) = std::pair{h - 1 - py, px};
+      std::swap(w, h);
+    }
+    return {px, py};
+  }
+  /// Where rect `r` of a w x h image lands.
+  Rect map_rect(Rect r, int w, int h) const {
+    if (flipped) r.x = w - r.right();
+    for (int i = 0; i < quarter_turns; ++i) {
+      r = Rect{h - r.bottom(), r.x, r.h, r.w};
+      std::swap(w, h);
+    }
+    return r;
+  }
+
+  bool operator==(const Dihedral&) const = default;
 };
 
 /// Splits a set of possibly-overlapping rectangles into disjoint rectangles

@@ -4,21 +4,13 @@
 
 namespace puppies::jpeg {
 
-/// Lossless coefficient-domain transforms (jpegtran-style). These are the
-/// PSP-side operations for which PUPPIES achieves bit-exact recovery:
-/// each maps quantized blocks to quantized blocks with no re-rounding.
-///
-/// Flips and rotations require the image dimensions to be multiples of 8
+/// The one lossless coefficient-domain transform (jpegtran-style), on which
+/// PUPPIES' bit-exact recovery rests: D4 element `e` applied to the pixel
+/// `window` of `img`, in one pass that permutes and sign-flips quantized
+/// coefficients with no re-rounding. The quant tables follow the
+/// coefficients. Requires 4:4:4 and an 8-aligned window inside the image
 /// (the jpegtran "perfect transform" condition); otherwise InvalidArgument.
-
-CoefficientImage flip_horizontal(const CoefficientImage& img);
-CoefficientImage flip_vertical(const CoefficientImage& img);
-CoefficientImage transpose(const CoefficientImage& img);
-CoefficientImage rotate90(const CoefficientImage& img);   ///< clockwise
-CoefficientImage rotate180(const CoefficientImage& img);
-CoefficientImage rotate270(const CoefficientImage& img);  ///< counter-clockwise
-
-/// Crops to the 8-aligned pixel rect `r` (must lie inside the image).
-CoefficientImage crop_aligned(const CoefficientImage& img, const Rect& r);
+CoefficientImage remap(const CoefficientImage& img, const Rect& window,
+                       const Dihedral& e);
 
 }  // namespace puppies::jpeg

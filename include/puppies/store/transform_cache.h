@@ -27,7 +27,7 @@ struct TransformResult {
 /// Cache key for a transform result: a digest over (source blob digest,
 /// canonicalized chain, delivery mode, reencode quality, encode mode). The
 /// chain is canonicalized (transform::canonicalize) so e.g.
-/// rotate90+rotate90 and rotate180 share an entry; `quality_relevant` masks
+/// rotate(90)+rotate(90) and rotate(180) share an entry; `quality_relevant` masks
 /// the quality out of the key for delivery modes that never re-encode.
 /// `encode_mode` is the Huffman mode the serving path re-encodes with —
 /// results serialized with different table modes are different bytes, so

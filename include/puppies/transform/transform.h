@@ -60,7 +60,12 @@ Step box_blur();
 Step sharpen();
 Step recompress(int quality);
 
+/// The D4 element of a rotate/flip kind (InvalidArgument for any other).
+Dihedral dihedral(Kind kind);
+
 /// Applies a step / chain in the float pixel domain (unclamped, linear).
+/// Each maximal run of identity/rotate/flip/crop steps folds into one
+/// (window, D4 element) pair and costs one pass per plane.
 YccImage apply(const Step& step, const YccImage& img);
 YccImage apply(const Chain& chain, YccImage img);
 
@@ -69,8 +74,10 @@ YccImage apply(const Chain& chain, YccImage img);
 jpeg::CoefficientImage apply_lossless(const Step& step,
                                       const jpeg::CoefficientImage& img);
 
-/// Applies a chain of lossless steps in the coefficient domain (throws
-/// InvalidArgument on the first non-lossless step). A non-null `dirty`
+/// Applies a chain of lossless steps in the coefficient domain as one
+/// jpeg::remap pass: the chain folds into a (window, D4 element) pair. Each
+/// step is vetted while folding, before anything is allocated, and refused
+/// (InvalidArgument) as a step-by-step apply would. A non-null `dirty`
 /// reports what the chain did to the MCU grid, feeding
 /// jpeg::serialize_delta: identity steps leave the set untouched (sized
 /// clean on first use, so an all-identity chain copies every segment); any
@@ -78,7 +85,7 @@ jpeg::CoefficientImage apply_lossless(const Step& step,
 /// reset to the OUTPUT grid and fully marked — the delta path then falls
 /// back or re-encodes everything, the correct cost for such chains.
 jpeg::CoefficientImage apply_lossless(const Chain& chain,
-                                      jpeg::CoefficientImage img,
+                                      const jpeg::CoefficientImage& img,
                                       jpeg::DirtyMcuSet* dirty = nullptr);
 
 /// Maps a pixel rect through a step/chain: where an ROI lands after the PSP
@@ -89,7 +96,9 @@ Rect map_rect(const Chain& chain, Rect r, int w, int h);
 std::pair<int, int> map_size(const Step& step, int w, int h);
 std::pair<int, int> map_size(const Chain& chain, int w, int h);
 
-/// Chain (de)serialization for the PSP's public metadata.
+/// Chain (de)serialization for the PSP's public metadata. read_chain
+/// applies the factories' parameter checks (scale size, crop alignment and
+/// extent, recompress quality) and throws ParseError on a bad step.
 void write_chain(ByteWriter& out, const Chain& chain);
 Chain read_chain(ByteReader& in);
 
@@ -100,7 +109,8 @@ Chain read_chain(ByteReader& in);
 ///   2. fields a step kind does not read are zeroed (e.g. a rotate's rect);
 ///   3. consecutive runs of rotations/flips — the dihedral group D4, whose
 ///      elements compose exactly as pixel/coefficient permutations — fold
-///      into at most two steps ([flip_h] then [rotate]).
+///      into one Dihedral element, emitted as at most two steps ([flip_h]
+///      then [rotate]).
 /// Scales, crops, filters, and recompressions are never merged.
 Chain canonicalize(const Chain& chain);
 

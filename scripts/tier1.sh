@@ -115,14 +115,17 @@ rm -rf "$BENCH_DIR"
 # too: the segment-parallel entropy decoder's per-segment readers and the
 # fallback flag are shared-state code on the same pool. tests_delta joins
 # for the same reason: the partial-index fill and dirty-segment writers
-# run on the pool against shared masks and segment slots.
+# run on the pool against shared masks and segment slots. tests_jpeg joins
+# because the lossless block remap writes its output block rows from the
+# pool, and its differential test runs it at 1, 2 and 8 threads.
 cmake -B build-tsan -S . -DPUPPIES_SANITIZE=thread
-cmake --build build-tsan -j"$(nproc)" --target tests_store tests_chunked tests_net tests_decode tests_delta
+cmake --build build-tsan -j"$(nproc)" --target tests_store tests_chunked tests_net tests_decode tests_delta tests_jpeg
 ./build-tsan/tests/tests_store
 ./build-tsan/tests/tests_chunked
 ./build-tsan/tests/tests_net
 ./build-tsan/tests/tests_decode
 ./build-tsan/tests/tests_delta
+./build-tsan/tests/tests_jpeg
 
 # Mutation fuzzing of the JPEG parser under the memory sanitizers: ten
 # thousand seeded mutants per run must produce clean ParseErrors, never a
@@ -139,4 +142,4 @@ cmake -B build-ubsan -S . -DPUPPIES_SANITIZE=undefined
 cmake --build build-ubsan -j"$(nproc)" --target tests_fuzz
 ./build-ubsan/tests/tests_fuzz
 
-echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode/tests_delta + servebench self-test + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec delta byte-identity gate + tests_store/tests_chunked/tests_net/tests_decode/tests_delta under TSan + tests_fuzz under ASan/UBSan)"
+echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode/tests_delta + servebench self-test + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec delta byte-identity gate + tests_store/tests_chunked/tests_net/tests_decode/tests_delta/tests_jpeg under TSan + tests_fuzz under ASan/UBSan)"

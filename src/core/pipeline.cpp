@@ -45,15 +45,12 @@ jpeg::CoefficientImage invert_lossless(const transform::Step& step,
     case Kind::kIdentity:
       return img;
     case Kind::kRotate90:
-      return jpeg::rotate270(img);
     case Kind::kRotate180:
-      return jpeg::rotate180(img);
     case Kind::kRotate270:
-      return jpeg::rotate90(img);
     case Kind::kFlipH:
-      return jpeg::flip_horizontal(img);
     case Kind::kFlipV:
-      return jpeg::flip_vertical(img);
+      return jpeg::remap(img, img.bounds(),
+                         transform::dihedral(step.kind).inverse());
     case Kind::kCropAligned: {
       // "Uncrop": embed into a zero canvas of the pre-crop size. Blocks that
       // were cropped away stay zero and are cropped away again on replay.
@@ -156,10 +153,8 @@ jpeg::CoefficientImage recover_lossless(
 
   img = recover(img, params, keys);
 
-  // Replay forwards.
-  for (const transform::Step& s : chain)
-    img = transform::apply_lossless(s, img);
-  return img;
+  // Replay forwards, folded into one remap.
+  return transform::apply_lossless(chain, img);
 }
 
 YccImage build_shadow(const PublicParameters& params, const KeyRing& keys) {

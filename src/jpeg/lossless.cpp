@@ -1,151 +1,88 @@
 #include "puppies/jpeg/lossless.h"
 
+#include "puppies/exec/parallel_for.h"
 #include "puppies/jpeg/zigzag.h"
 
 namespace puppies::jpeg {
 
 namespace {
 
-void check_block_aligned(const CoefficientImage& img) {
-  require(!img.subsampled(),
-          "lossless coefficient transforms require 4:4:4 (transcode "
-          "subsampled images through the pixel path)");
-  require(img.width() % 8 == 0 && img.height() % 8 == 0,
-          "lossless flip/rotate requires multiple-of-8 dimensions");
-}
+/// How `e` moves the coefficients of one block, in zig-zag order:
+/// out[z] = sign[z] * in[from[z]].
+struct BlockMap {
+  std::array<std::uint8_t, 64> from{};
+  std::array<std::int16_t, 64> sign{};
+};
 
-// Natural-order views of a zig-zag block.
-std::array<std::int16_t, 64> to_natural(const CoefBlock& z) {
-  std::array<std::int16_t, 64> n{};
-  for (int i = 0; i < 64; ++i)
-    n[static_cast<std::size_t>(kZigzagToNatural[static_cast<std::size_t>(i)])] =
-        z[static_cast<std::size_t>(i)];
-  return n;
-}
-
-CoefBlock to_zigzag(const std::array<std::int16_t, 64>& n) {
-  CoefBlock z{};
-  for (int i = 0; i < 64; ++i)
-    z[static_cast<std::size_t>(i)] =
-        n[static_cast<std::size_t>(kZigzagToNatural[static_cast<std::size_t>(i)])];
-  return z;
-}
-
-CoefBlock block_flip_h(const CoefBlock& b) {
-  auto n = to_natural(b);
-  for (int v = 0; v < 8; ++v)
-    for (int u = 1; u < 8; u += 2) n[static_cast<std::size_t>(v * 8 + u)] =
-        static_cast<std::int16_t>(-n[static_cast<std::size_t>(v * 8 + u)]);
-  return to_zigzag(n);
-}
-
-CoefBlock block_flip_v(const CoefBlock& b) {
-  auto n = to_natural(b);
-  for (int v = 1; v < 8; v += 2)
-    for (int u = 0; u < 8; ++u) n[static_cast<std::size_t>(v * 8 + u)] =
-        static_cast<std::int16_t>(-n[static_cast<std::size_t>(v * 8 + u)]);
-  return to_zigzag(n);
-}
-
-CoefBlock block_transpose(const CoefBlock& b) {
-  auto n = to_natural(b);
-  std::array<std::int16_t, 64> t{};
-  for (int v = 0; v < 8; ++v)
-    for (int u = 0; u < 8; ++u)
-      t[static_cast<std::size_t>(u * 8 + v)] = n[static_cast<std::size_t>(v * 8 + u)];
-  return to_zigzag(t);
-}
-
-CoefficientImage like(const CoefficientImage& img, int w, int h) {
-  CoefficientImage out(w, h, img.component_count(), img.qtable(0),
-                       img.qtable(1));
-  for (int c = 0; c < img.component_count(); ++c)
-    out.component(c).quant_index = img.component(c).quant_index;
-  return out;
-}
-
-/// Annex-K tables are not symmetric, so transposing coefficients requires
-/// transposing the quantizer steps with them (as jpegtran does).
-QuantTable transpose_qtable(const QuantTable& t) {
-  QuantTable out;
-  for (int z = 0; z < 64; ++z) {
-    const int n = kZigzagToNatural[static_cast<std::size_t>(z)];
-    const int transposed = (n % 8) * 8 + (n / 8);
-    out.q[static_cast<std::size_t>(kNaturalToZigzag[static_cast<std::size_t>(transposed)])] =
-        t.q[static_cast<std::size_t>(z)];
+BlockMap block_map(const Dihedral& e) {
+  // Mirroring a pixel axis negates that axis's odd frequencies; swapping
+  // the axes swaps the frequencies. Output pixel (0, 0) comes from source
+  // pixel 7 on each mirrored source axis.
+  const auto [x0, y0] = e.inverse().map_point(0, 0, 8, 8);
+  BlockMap m;
+  for (std::size_t z = 0; z < 64; ++z) {
+    const int n = kZigzagToNatural[z];
+    const int u = e.transposes() ? n / 8 : n % 8;  // source frequencies
+    const int v = e.transposes() ? n % 8 : n / 8;
+    const bool negate = (x0 == 7 && u % 2 == 1) != (y0 == 7 && v % 2 == 1);
+    m.from[z] = static_cast<std::uint8_t>(
+        kNaturalToZigzag[static_cast<std::size_t>(v * 8 + u)]);
+    m.sign[z] = negate ? -1 : 1;
   }
+  return m;
+}
+
+/// A quant table follows its coefficients (Annex-K tables are not
+/// symmetric, so a transposing element transposes them too).
+QuantTable permuted(const QuantTable& t, const BlockMap& m) {
+  QuantTable out;
+  for (std::size_t z = 0; z < 64; ++z) out.q[z] = t.q[m.from[z]];
   return out;
 }
 
 }  // namespace
 
-CoefficientImage flip_horizontal(const CoefficientImage& img) {
-  check_block_aligned(img);
-  CoefficientImage out = like(img, img.width(), img.height());
-  for (int c = 0; c < img.component_count(); ++c) {
-    const Component& src = img.component(c);
-    Component& dst = out.component(c);
-    for (int by = 0; by < src.blocks_h; ++by)
-      for (int bx = 0; bx < src.blocks_w; ++bx)
-        dst.block(src.blocks_w - 1 - bx, by) = block_flip_h(src.block(bx, by));
-  }
-  return out;
-}
-
-CoefficientImage flip_vertical(const CoefficientImage& img) {
-  check_block_aligned(img);
-  CoefficientImage out = like(img, img.width(), img.height());
-  for (int c = 0; c < img.component_count(); ++c) {
-    const Component& src = img.component(c);
-    Component& dst = out.component(c);
-    for (int by = 0; by < src.blocks_h; ++by)
-      for (int bx = 0; bx < src.blocks_w; ++bx)
-        dst.block(bx, src.blocks_h - 1 - by) = block_flip_v(src.block(bx, by));
-  }
-  return out;
-}
-
-CoefficientImage transpose(const CoefficientImage& img) {
-  check_block_aligned(img);
-  CoefficientImage out = like(img, img.height(), img.width());
-  out.qtable(0) = transpose_qtable(img.qtable(0));
-  out.qtable(1) = transpose_qtable(img.qtable(1));
-  for (int c = 0; c < img.component_count(); ++c) {
-    const Component& src = img.component(c);
-    Component& dst = out.component(c);
-    for (int by = 0; by < src.blocks_h; ++by)
-      for (int bx = 0; bx < src.blocks_w; ++bx)
-        dst.block(by, bx) = block_transpose(src.block(bx, by));
-  }
-  return out;
-}
-
-CoefficientImage rotate90(const CoefficientImage& img) {
-  return flip_horizontal(transpose(img));
-}
-
-CoefficientImage rotate180(const CoefficientImage& img) {
-  return flip_vertical(flip_horizontal(img));
-}
-
-CoefficientImage rotate270(const CoefficientImage& img) {
-  return flip_vertical(transpose(img));
-}
-
-CoefficientImage crop_aligned(const CoefficientImage& img, const Rect& r) {
+CoefficientImage remap(const CoefficientImage& img, const Rect& window,
+                       const Dihedral& e) {
   require(!img.subsampled(),
-          "lossless crop requires 4:4:4 (transcode subsampled images "
-          "through the pixel path)");
-  require(img.bounds().contains(r), "crop rect outside image");
-  const Rect br = CoefficientImage::pixel_to_block_rect(r);
-  CoefficientImage out = like(img, r.w, r.h);
-  for (int c = 0; c < img.component_count(); ++c) {
-    const Component& src = img.component(c);
-    Component& dst = out.component(c);
-    for (int by = 0; by < dst.blocks_h; ++by)
-      for (int bx = 0; bx < dst.blocks_w; ++bx)
-        dst.block(bx, by) = src.block(br.x + bx, br.y + by);
-  }
+          "lossless coefficient transforms require 4:4:4 (transcode "
+          "subsampled images through the pixel path)");
+  require(img.bounds().contains(window), "crop rect outside image");
+  require(window.x % 8 == 0 && window.y % 8 == 0 && window.w % 8 == 0 &&
+              window.h % 8 == 0,
+          "lossless flip/rotate requires multiple-of-8 dimensions");
+
+  const auto [ow, oh] = e.size(window.w, window.h);
+  const BlockMap m = block_map(e);
+  CoefficientImage out(ow, oh, img.component_count(),
+                       permuted(img.qtable(0), m), permuted(img.qtable(1), m));
+  for (int c = 0; c < img.component_count(); ++c)
+    out.component(c).quant_index = img.component(c).quant_index;
+
+  // The source block of output block (ox, oy) is affine in (ox, oy); read
+  // origin and steps off the inverse element's map of the output block grid.
+  const int obw = ow / 8, obh = oh / 8;
+  const Dihedral inv = e.inverse();
+  const auto [x0, y0] = inv.map_point(0, 0, obw, obh);
+  const auto [x1, y1] = inv.map_point(1, 0, obw, obh);
+  const auto [x2, y2] = inv.map_point(0, 1, obw, obh);
+  const int sx0 = window.x / 8 + x0, sy0 = window.y / 8 + y0;
+  // Output block rows are independent; each writes only its own blocks.
+  exec::parallel_for(static_cast<std::size_t>(obh), [&](std::size_t row) {
+    const int oy = static_cast<int>(row);
+    for (int c = 0; c < out.component_count(); ++c) {
+      const Component& src = img.component(c);
+      CoefBlock* dst = out.component(c).blocks.data() + row * obw;
+      for (int ox = 0; ox < obw; ++ox) {
+        const int sx = sx0 + ox * (x1 - x0) + oy * (x2 - x0);
+        const int sy = sy0 + ox * (y1 - y0) + oy * (y2 - y0);
+        const CoefBlock& b =
+            src.blocks[static_cast<std::size_t>(sy) * src.blocks_w + sx];
+        for (std::size_t z = 0; z < 64; ++z)
+          dst[ox][z] = static_cast<std::int16_t>(m.sign[z] * b[m.from[z]]);
+      }
+    }
+  });
   return out;
 }
 

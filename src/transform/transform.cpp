@@ -1,6 +1,8 @@
 #include "puppies/transform/transform.h"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <tuple>
 
 #include "puppies/exec/parallel_for.h"
@@ -9,19 +11,18 @@
 
 namespace puppies::transform {
 
+namespace {
+
+/// The rotations and flips: the contiguous Kind range kRotate90..kFlipV.
+bool is_rot_or_flip(Kind k) {
+  return k >= Kind::kRotate90 && k <= Kind::kFlipV;
+}
+
+}  // namespace
+
 bool Step::lossless() const {
-  switch (kind) {
-    case Kind::kIdentity:
-    case Kind::kCropAligned:
-    case Kind::kRotate90:
-    case Kind::kRotate180:
-    case Kind::kRotate270:
-    case Kind::kFlipH:
-    case Kind::kFlipV:
-      return true;
-    default:
-      return false;
-  }
+  return kind == Kind::kIdentity || kind == Kind::kCropAligned ||
+         is_rot_or_flip(kind);
 }
 
 bool Step::linear() const {
@@ -70,10 +71,20 @@ Step scale(int new_w, int new_h) {
 Step crop_aligned(const Rect& r) {
   require(r.x % 8 == 0 && r.y % 8 == 0 && r.w % 8 == 0 && r.h % 8 == 0,
           "crop rect must be 8-aligned");
+  require(r.x >= 0 && r.y >= 0 && !r.empty(),
+          "crop rect must be non-empty at a non-negative origin");
   Step s;
   s.kind = Kind::kCropAligned;
   s.rect = r;
   return s;
+}
+
+Dihedral dihedral(Kind kind) {
+  require(is_rot_or_flip(kind), "not a rotation/flip");
+  // rotate 90/180/270, flip_h, and flip_v (a half turn after flip_h).
+  constexpr Dihedral kElements[] = {
+      {1, false}, {2, false}, {3, false}, {0, true}, {2, true}};
+  return kElements[static_cast<int>(kind) - static_cast<int>(Kind::kRotate90)];
 }
 
 Step rotate(int degrees_cw) {
@@ -158,49 +169,28 @@ Plane<float> scale_plane(const Plane<float>& in, int nw, int nh) {
   return out;
 }
 
-Plane<float> crop_plane(const Plane<float>& in, const Rect& r) {
-  Plane<float> out(r.w, r.h, 0.f);
-  for (int y = 0; y < r.h; ++y)
-    for (int x = 0; x < r.w; ++x) out.at(x, y) = in.at(r.x + x, r.y + y);
+/// `e` applied to the `window` of `in`: one pass, each output row written
+/// once from a line of source pixels whose start and step the inverse
+/// element's map gives.
+Plane<float> remap_plane(const Plane<float>& in, const Rect& window,
+                         const Dihedral& e) {
+  const auto [ow, oh] = e.size(window.w, window.h);
+  Plane<float> out(ow, oh, 0.f);
+  const Dihedral inv = e.inverse();
+  const auto [x0, y0] = inv.map_point(0, 0, ow, oh);
+  const auto [x1, y1] = inv.map_point(1, 0, ow, oh);
+  const auto [x2, y2] = inv.map_point(0, 1, ow, oh);
+  const std::ptrdiff_t stride = in.width();
+  const std::ptrdiff_t step = (y1 - y0) * stride + (x1 - x0);
+  const float* src = in.pixels().data();
+  exec::parallel_for(static_cast<std::size_t>(oh), [&](std::size_t row) {
+    const auto oy = static_cast<std::ptrdiff_t>(row);
+    const float* s = src + (window.y + y0 + oy * (y2 - y0)) * stride +
+                     window.x + x0 + oy * (x2 - x0);
+    float* d = out.row(static_cast<int>(row)).data();
+    for (std::ptrdiff_t x = 0; x < ow; ++x) d[x] = s[x * step];
+  });
   return out;
-}
-
-Plane<float> rot_plane(const Plane<float>& in, Kind kind) {
-  const int w = in.width(), h = in.height();
-  switch (kind) {
-    case Kind::kRotate90: {
-      Plane<float> out(h, w, 0.f);
-      for (int y = 0; y < w; ++y)
-        for (int x = 0; x < h; ++x) out.at(x, y) = in.at(y, h - 1 - x);
-      return out;
-    }
-    case Kind::kRotate180: {
-      Plane<float> out(w, h, 0.f);
-      for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x) out.at(x, y) = in.at(w - 1 - x, h - 1 - y);
-      return out;
-    }
-    case Kind::kRotate270: {
-      Plane<float> out(h, w, 0.f);
-      for (int y = 0; y < w; ++y)
-        for (int x = 0; x < h; ++x) out.at(x, y) = in.at(w - 1 - y, x);
-      return out;
-    }
-    case Kind::kFlipH: {
-      Plane<float> out(w, h, 0.f);
-      for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x) out.at(x, y) = in.at(w - 1 - x, y);
-      return out;
-    }
-    case Kind::kFlipV: {
-      Plane<float> out(w, h, 0.f);
-      for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x) out.at(x, y) = in.at(x, h - 1 - y);
-      return out;
-    }
-    default:
-      throw InvalidArgument("rot_plane: not a rotation/flip");
-  }
 }
 
 Plane<float> convolve_plane(const Plane<float>& in,
@@ -226,28 +216,63 @@ YccImage per_plane(const YccImage& img, auto&& fn) {
   return out;
 }
 
+/// A run of identity/rotate/flip/crop steps folded into one remap: the
+/// output is `element` applied to the `window` of the run's input. A D4
+/// element maps an axis-aligned rect to an axis-aligned rect, so a crop
+/// after any rotations and flips pulls back to a window of the input, and
+/// the whole run costs one pass.
+struct Remap {
+  Rect window;
+  Dihedral element;
+  bool moved = false;  ///< any non-identity step (else the run is a no-op)
+};
+
+/// Folds `run` over a w x h input. `check(step, w, h)` vets each
+/// non-identity step against the size it sees, before it folds and before
+/// anything is allocated.
+template <typename Check>
+Remap fold(std::span<const Step> run, int w, int h, Check&& check) {
+  Remap m{Rect{0, 0, w, h}, Dihedral{}};
+  for (const Step& s : run) {
+    if (s.kind == Kind::kIdentity) continue;
+    check(s, w, h);
+    m.moved = true;
+    if (s.kind == Kind::kCropAligned) {
+      const Rect r = m.element.inverse().map_rect(s.rect, w, h);
+      m.window = Rect{m.window.x + r.x, m.window.y + r.y, r.w, r.h};
+    } else {
+      m.element = m.element.compose(dihedral(s.kind));
+    }
+    std::tie(w, h) = map_size(s, w, h);
+  }
+  return m;
+}
+
+/// Folds a run of lossless steps in the pixel domain, where only a crop has
+/// a precondition, and remaps each plane once.
+YccImage remap_run(std::span<const Step> run, const YccImage& img) {
+  const Remap m = fold(run, img.width(), img.height(),
+                       [](const Step& s, int w, int h) {
+                         if (s.kind == Kind::kCropAligned)
+                           require(Rect{0, 0, w, h}.contains(s.rect),
+                                   "crop rect outside image");
+                       });
+  if (!m.moved) return img;
+  return per_plane(img, [&](const Plane<float>& p) {
+    return remap_plane(p, m.window, m.element);
+  });
+}
+
 }  // namespace
 
 YccImage apply(const Step& step, const YccImage& img) {
+  if (step.lossless()) return remap_run({&step, 1}, img);
   switch (step.kind) {
-    case Kind::kIdentity:
-      return img;
     case Kind::kScale:
       return per_plane(img,
                        [&](const Plane<float>& p) {
                          return scale_plane(p, step.arg0, step.arg1);
                        });
-    case Kind::kCropAligned:
-      require(img.bounds().contains(step.rect), "crop rect outside image");
-      return per_plane(
-          img, [&](const Plane<float>& p) { return crop_plane(p, step.rect); });
-    case Kind::kRotate90:
-    case Kind::kRotate180:
-    case Kind::kRotate270:
-    case Kind::kFlipH:
-    case Kind::kFlipV:
-      return per_plane(
-          img, [&](const Plane<float>& p) { return rot_plane(p, step.kind); });
     case Kind::kFilter3x3:
       return per_plane(img, [&](const Plane<float>& p) {
         return convolve_plane(p, step.kernel);
@@ -258,68 +283,75 @@ YccImage apply(const Step& step, const YccImage& img) {
       const jpeg::CoefficientImage c = jpeg::forward_transform(img, step.arg0);
       return jpeg::inverse_transform(c);
     }
+    default:
+      break;
   }
   throw InvalidArgument("unknown transform step");
 }
 
 YccImage apply(const Chain& chain, YccImage img) {
-  for (const Step& s : chain) img = apply(s, img);
+  for (auto it = chain.begin(); it != chain.end();) {
+    if (!it->lossless()) {
+      img = apply(*it++, img);
+      continue;
+    }
+    const auto end = std::find_if(
+        it, chain.end(), [](const Step& s) { return !s.lossless(); });
+    img = remap_run({it, end}, img);
+    it = end;
+  }
   return img;
 }
 
 jpeg::CoefficientImage apply_lossless(const Step& step,
                                       const jpeg::CoefficientImage& img) {
-  switch (step.kind) {
-    case Kind::kIdentity:
-      return img;
-    case Kind::kCropAligned:
-      return jpeg::crop_aligned(img, step.rect);
-    case Kind::kRotate90:
-      return jpeg::rotate90(img);
-    case Kind::kRotate180:
-      return jpeg::rotate180(img);
-    case Kind::kRotate270:
-      return jpeg::rotate270(img);
-    case Kind::kFlipH:
-      return jpeg::flip_horizontal(img);
-    case Kind::kFlipV:
-      return jpeg::flip_vertical(img);
-    default:
-      throw InvalidArgument("transform step is not lossless: " +
-                            step.to_string());
-  }
+  return apply_lossless(Chain{step}, img);
 }
 
 jpeg::CoefficientImage apply_lossless(const Chain& chain,
-                                      jpeg::CoefficientImage img,
+                                      const jpeg::CoefficientImage& img,
                                       jpeg::DirtyMcuSet* dirty) {
-  bool rewritten = false;
-  for (const Step& s : chain) {
-    if (s.kind == Kind::kIdentity) continue;  // no blocks move
-    img = apply_lossless(s, img);
-    rewritten = true;
-  }
+  // Each step's refusal, in the order and words of a step-by-step apply.
+  const Remap m = fold(
+      chain, img.width(), img.height(), [&](const Step& s, int w, int h) {
+        if (!s.lossless())
+          throw InvalidArgument("transform step is not lossless: " +
+                                s.to_string());
+        if (s.kind == Kind::kCropAligned) {
+          require(!img.subsampled(),
+                  "lossless crop requires 4:4:4 (transcode subsampled "
+                  "images through the pixel path)");
+          require(Rect{0, 0, w, h}.contains(s.rect), "crop rect outside image");
+          (void)jpeg::CoefficientImage::pixel_to_block_rect(s.rect);  // aligned
+        } else {
+          require(!img.subsampled(),
+                  "lossless coefficient transforms require 4:4:4 (transcode "
+                  "subsampled images through the pixel path)");
+          require(w % 8 == 0 && h % 8 == 0,
+                  "lossless flip/rotate requires multiple-of-8 dimensions");
+        }
+      });
+  jpeg::CoefficientImage out =
+      m.moved ? jpeg::remap(img, m.window, m.element) : img;
   if (dirty) {
     // Crops/rotates/flips permute every block (and may change the grid), so
     // no source segment's entropy bytes survive: size the set to the output
     // grid and mark it wholesale. Identity-only chains leave a clean set of
     // the (unchanged) grid — every segment copies.
-    if (rewritten || dirty->total != img.mcu_count())
-      dirty->reset(img.mcu_count());
-    if (rewritten) dirty->mark_all();
+    if (m.moved || dirty->total != out.mcu_count())
+      dirty->reset(out.mcu_count());
+    if (m.moved) dirty->mark_all();
   }
-  return img;
+  return out;
 }
 
 std::pair<int, int> map_size(const Step& step, int w, int h) {
+  if (is_rot_or_flip(step.kind)) return dihedral(step.kind).size(w, h);
   switch (step.kind) {
     case Kind::kScale:
       return {step.arg0, step.arg1};
     case Kind::kCropAligned:
       return {step.rect.w, step.rect.h};
-    case Kind::kRotate90:
-    case Kind::kRotate270:
-      return {h, w};
     default:
       return {w, h};
   }
@@ -331,6 +363,7 @@ std::pair<int, int> map_size(const Chain& chain, int w, int h) {
 }
 
 Rect map_rect(const Step& step, const Rect& r, int w, int h) {
+  if (is_rot_or_flip(step.kind)) return dihedral(step.kind).map_rect(r, w, h);
   switch (step.kind) {
     case Kind::kScale: {
       const double sx = static_cast<double>(step.arg0) / w;
@@ -346,16 +379,6 @@ Rect map_rect(const Step& step, const Rect& r, int w, int h) {
       return Rect{inter.x - step.rect.x, inter.y - step.rect.y, inter.w,
                   inter.h};
     }
-    case Kind::kRotate90:
-      return Rect{h - r.bottom(), r.x, r.h, r.w};
-    case Kind::kRotate180:
-      return Rect{w - r.right(), h - r.bottom(), r.w, r.h};
-    case Kind::kRotate270:
-      return Rect{r.y, w - r.right(), r.h, r.w};
-    case Kind::kFlipH:
-      return Rect{w - r.right(), r.y, r.w, r.h};
-    case Kind::kFlipV:
-      return Rect{r.x, h - r.bottom(), r.w, r.h};
     default:
       return r;
   }
@@ -409,6 +432,13 @@ Chain read_chain(ByteReader& in) {
     s.rect.w = in.i32();
     s.rect.h = in.i32();
     for (float& k : s.kernel) k = static_cast<float>(in.i32()) * 1e-6f;
+    try {  // the factories' own checks, so workers never see a bad step
+      if (s.kind == Kind::kScale) scale(s.arg0, s.arg1);
+      if (s.kind == Kind::kCropAligned) crop_aligned(s.rect);
+      if (s.kind == Kind::kRecompress) recompress(s.arg0);
+    } catch (const InvalidArgument& e) {
+      throw ParseError(std::string("transform step: ") + e.what());
+    }
     chain.push_back(s);
   }
   return chain;
@@ -441,52 +471,11 @@ Step normalized(const Step& s) {
   return out;
 }
 
-bool is_rot_or_flip(Kind k) {
-  return k == Kind::kRotate90 || k == Kind::kRotate180 ||
-         k == Kind::kRotate270 || k == Kind::kFlipH || k == Kind::kFlipV;
+/// Emits a folded run as at most two steps: [flip_h] then [rotate].
+void emit(const Dihedral& d, Chain& out) {
+  if (d.flipped) out.push_back(flip_h());
+  if (d.quarter_turns != 0) out.push_back(rotate(d.quarter_turns * 90));
 }
-
-/// Accumulated dihedral element: flip_h first (if `flipped`), then rotate
-/// `quarter_turns` * 90 degrees clockwise. Every composition of rotations
-/// and flips reduces to this form; both reductions below are exact because
-/// each operation is a pure permutation of pixels (and, in the coefficient
-/// domain, of blocks with fixed sign patterns that obey the same group law).
-struct Dihedral {
-  int quarter_turns = 0;
-  bool flipped = false;
-
-  void compose(Kind k) {
-    switch (k) {
-      case Kind::kRotate90:
-        quarter_turns = (quarter_turns + 1) % 4;
-        break;
-      case Kind::kRotate180:
-        quarter_turns = (quarter_turns + 2) % 4;
-        break;
-      case Kind::kRotate270:
-        quarter_turns = (quarter_turns + 3) % 4;
-        break;
-      case Kind::kFlipH:
-        // flipH . rot(k) == rot(-k) . flipH, so pulling the new flip
-        // through the accumulated rotation negates it.
-        quarter_turns = (4 - quarter_turns) % 4;
-        flipped = !flipped;
-        break;
-      case Kind::kFlipV:
-        // flipV == rot180 . flipH.
-        compose(Kind::kFlipH);
-        quarter_turns = (quarter_turns + 2) % 4;
-        break;
-      default:
-        throw InvalidArgument("not a rotation/flip");
-    }
-  }
-
-  void emit(Chain& out) const {
-    if (flipped) out.push_back(flip_h());
-    if (quarter_turns != 0) out.push_back(rotate(quarter_turns * 90));
-  }
-};
 
 }  // namespace
 
@@ -497,18 +486,18 @@ Chain canonicalize(const Chain& chain) {
   for (const Step& s : chain) {
     if (s.kind == Kind::kIdentity) continue;
     if (is_rot_or_flip(s.kind)) {
-      run.compose(s.kind);
+      run = run.compose(dihedral(s.kind));
       in_run = true;
       continue;
     }
     if (in_run) {
-      run.emit(out);
+      emit(run, out);
       run = Dihedral{};
       in_run = false;
     }
     out.push_back(normalized(s));
   }
-  if (in_run) run.emit(out);
+  if (in_run) emit(run, out);
   return out;
 }
 

@@ -8,6 +8,7 @@
 #include "puppies/jpeg/codec.h"
 #include "puppies/jpeg/lossless.h"
 #include "puppies/synth/synth.h"
+#include "puppies/transform/transform.h"
 
 namespace puppies {
 namespace {
@@ -94,9 +95,16 @@ TEST(Chroma420, SmallerFilesThan444) {
 
 TEST(Chroma420, LosslessTransformsRejectSubsampled) {
   const jpeg::CoefficientImage img = coeffs420(4, 96, 64);
-  EXPECT_THROW(jpeg::rotate90(img), InvalidArgument);
-  EXPECT_THROW(jpeg::flip_horizontal(img), InvalidArgument);
-  EXPECT_THROW(jpeg::crop_aligned(img, Rect{0, 0, 16, 16}), InvalidArgument);
+  EXPECT_THROW(transform::apply_lossless(transform::rotate(90), img),
+               InvalidArgument);
+  EXPECT_THROW(transform::apply_lossless(transform::flip_h(), img),
+               InvalidArgument);
+  EXPECT_THROW(transform::apply_lossless(
+                   transform::crop_aligned(Rect{0, 0, 16, 16}), img),
+               InvalidArgument);
+  // The remap itself refuses 4:2:0 too, for callers that bypass the fold.
+  EXPECT_THROW(jpeg::remap(img, img.bounds(), Dihedral{1, false}),
+               InvalidArgument);
 }
 
 TEST(Chroma420, PerturbRecoverRoundTripAllSchemes) {

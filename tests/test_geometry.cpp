@@ -39,6 +39,44 @@ TEST(Rect, ContainsRect) {
   EXPECT_TRUE(outer.contains(outer));
   EXPECT_FALSE(outer.contains(Rect{90, 90, 20, 20}));
   EXPECT_FALSE(outer.contains(Rect{}));
+  // right()/bottom() of these rects overflow int (a wire crop step once
+  // passed this check and crashed the server); containment must say no.
+  EXPECT_FALSE(outer.contains(Rect{2147483640, 0, 8, 8}));
+  EXPECT_FALSE(outer.contains(Rect{0, 2147483640, 8, 8}));
+  EXPECT_FALSE(outer.contains(Rect{8, 8, 2147483647, 8}));
+  EXPECT_FALSE(outer.contains(Rect{8, 8, 8, 2147483647}));
+  EXPECT_FALSE(outer.contains(2147483647, 0));
+  // A container whose own right()/bottom() is INT_MAX still contains itself.
+  const Rect edge{2147483640, 2147483640, 7, 7};
+  EXPECT_TRUE(edge.contains(edge));
+  EXPECT_TRUE(edge.contains(2147483646, 2147483646));
+}
+
+TEST(Dihedral, GroupLawAndMapsAgree) {
+  std::vector<Dihedral> all;
+  for (int q = 0; q < 4; ++q)
+    for (const bool f : {false, true}) all.push_back(Dihedral{q, f});
+  const int w = 5, h = 3;
+  for (const Dihedral& a : all) {
+    EXPECT_EQ(a.compose(a.inverse()), Dihedral{});
+    EXPECT_EQ(a.inverse().compose(a), Dihedral{});
+    const auto [aw, ah] = a.size(w, h);
+    EXPECT_EQ(a.transposes(), aw != w);
+    for (int y = 0; y < h; ++y)
+      for (int x = 0; x < w; ++x) {
+        const auto [px, py] = a.map_point(x, y, w, h);
+        ASSERT_TRUE((Rect{0, 0, aw, ah}.contains(px, py)));
+        EXPECT_EQ(a.map_rect(Rect{x, y, 1, 1}, w, h), (Rect{px, py, 1, 1}));
+        EXPECT_EQ(a.inverse().map_point(px, py, aw, ah), std::pair(x, y));
+        for (const Dihedral& b : all) {
+          const auto [bx, by] = b.map_point(px, py, aw, ah);
+          EXPECT_EQ(a.compose(b).map_point(x, y, w, h), std::pair(bx, by));
+        }
+      }
+  }
+  // The generators: flip_h mirrors x; one quarter turn is clockwise.
+  EXPECT_EQ((Dihedral{0, true}.map_point(0, 0, w, h)), std::pair(4, 0));
+  EXPECT_EQ((Dihedral{1, false}.map_point(0, 0, w, h)), std::pair(2, 0));
 }
 
 TEST(Rect, AlignedToExpandsOutward) {

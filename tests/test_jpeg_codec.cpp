@@ -6,8 +6,11 @@
 #include "puppies/image/metrics.h"
 #include "puppies/jpeg/bitio.h"
 #include "puppies/jpeg/codec.h"
+#include "puppies/exec/pool.h"
 #include "puppies/jpeg/lossless.h"
 #include "puppies/synth/synth.h"
+#include "puppies/transform/transform.h"
+#include "ref_lossless.h"
 
 namespace puppies::jpeg {
 namespace {
@@ -158,6 +161,29 @@ TEST(Codec, RequantizeChangesTablesAndPreservesContent) {
   EXPECT_GT(psnr(scene.image, decode_to_rgb(requant)), 22.0);
 }
 
+// The D4 generators and the crop, each one jpeg::remap pass over the image.
+CoefficientImage d4(const CoefficientImage& img, const Dihedral& e) {
+  return remap(img, img.bounds(), e);
+}
+CoefficientImage rotate90(const CoefficientImage& img) {
+  return d4(img, Dihedral{1, false});
+}
+CoefficientImage rotate180(const CoefficientImage& img) {
+  return d4(img, Dihedral{2, false});
+}
+CoefficientImage flip_horizontal(const CoefficientImage& img) {
+  return d4(img, Dihedral{0, true});
+}
+CoefficientImage flip_vertical(const CoefficientImage& img) {
+  return d4(img, Dihedral{2, true});
+}
+CoefficientImage transpose(const CoefficientImage& img) {
+  return d4(img, Dihedral{3, true});
+}
+CoefficientImage crop_aligned(const CoefficientImage& img, const Rect& r) {
+  return remap(img, r, Dihedral{});
+}
+
 TEST(Lossless, Rotate90FourTimesIsIdentity) {
   Rng rng("lossless-rot");
   const CoefficientImage img = random_coefficients(rng, 32, 24, 3);
@@ -213,6 +239,77 @@ TEST(Lossless, NonAlignedDimensionsThrow) {
   EXPECT_THROW(rotate90(img), InvalidArgument);
   const CoefficientImage ok = random_coefficients(rng, 32, 24, 3);
   EXPECT_THROW(crop_aligned(ok, Rect{3, 0, 8, 8}), InvalidArgument);
+}
+
+/// The reference image of D4 element `e` (flip_h if flipped, then
+/// quarter_turns clockwise), built from the seed's named passes.
+CoefficientImage ref_element(const CoefficientImage& img, const Dihedral& e) {
+  switch (e.quarter_turns + (e.flipped ? 4 : 0)) {
+    case 0: return img;
+    case 1: return ref::rotate90(img);
+    case 2: return ref::rotate180(img);
+    case 3: return ref::rotate270(img);
+    case 4: return ref::flip_horizontal(img);
+    case 5: return ref::rotate180(ref::transpose(img));  // anti-transpose
+    case 6: return ref::flip_vertical(img);
+    default: return ref::transpose(img);
+  }
+}
+
+/// The steps `e` folds from: transpose and anti-transpose have no step of
+/// their own, so a chain reaches them only by folding flip_h and a rotate.
+transform::Chain steps_of(const Dihedral& e) {
+  transform::Chain c;
+  if (e.flipped) c.push_back(transform::flip_h());
+  if (e.quarter_turns != 0) c.push_back(transform::rotate(e.quarter_turns * 90));
+  return c;
+}
+
+TEST(Lossless, RemapMatchesComposedReference) {
+  struct Shape {
+    int w, h, comps;
+  };
+  // Odd block grids (5x3, 7x9), square and not, gray and color.
+  const Shape shapes[] = {{40, 24, 3}, {56, 72, 1}, {56, 72, 3}, {64, 64, 1}};
+  for (const int threads : {1, 2, 8}) {
+    exec::configure(exec::Config{threads});
+    for (const Shape& sh : shapes) {
+      Rng rng("lossless-diff/" + std::to_string(sh.w) + "x" +
+              std::to_string(sh.h) + "/" + std::to_string(sh.comps));
+      const CoefficientImage img =
+          random_coefficients(rng, sh.w, sh.h, sh.comps, 60);
+      const Rect window{8, 8, sh.w - 16, sh.h - 8};
+      for (int q = 0; q < 4; ++q)
+        for (const bool flipped : {false, true}) {
+          const Dihedral e{q, flipped};
+          SCOPED_TRACE(::testing::Message()
+                       << sh.w << "x" << sh.h << "x" << sh.comps << " q=" << q
+                       << " flipped=" << flipped << " threads=" << threads);
+          const CoefficientImage want = ref_element(img, e);
+          const CoefficientImage want_window =
+              ref_element(ref::crop_aligned(img, window), e);
+          // CoefficientImage equality covers blocks, quant tables and every
+          // component's quant_index.
+          EXPECT_EQ(remap(img, img.bounds(), e), want);
+          EXPECT_EQ(remap(img, window, e), want_window);
+
+          // The same element reached by a chain: a crop before the run, and
+          // one after it that the fold pulls back through the element.
+          const transform::Chain steps = steps_of(e);
+          EXPECT_EQ(transform::apply_lossless(steps, img), want);
+          transform::Chain crop_first{transform::crop_aligned(window)};
+          crop_first.insert(crop_first.end(), steps.begin(), steps.end());
+          EXPECT_EQ(transform::apply_lossless(crop_first, img), want_window);
+          const auto [ow, oh] = e.size(sh.w, sh.h);
+          const Rect late{0, 8, ow - 8, oh - 8};
+          transform::Chain crop_last = steps;
+          crop_last.push_back(transform::crop_aligned(late));
+          EXPECT_EQ(transform::apply_lossless(crop_last, img),
+                    ref::crop_aligned(want, late));
+        }
+    }
+  }
+  exec::configure(exec::Config{});
 }
 
 }  // namespace

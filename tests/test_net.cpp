@@ -319,6 +319,29 @@ TEST(Loopback, ErrorsMapToStatuses) {
   // ...and the same connection still serves afterwards.
   EXPECT_NE(client.stats_json().find("net.requests"), std::string::npos);
 
+  // A crop whose x + w overflows int, in both wire delivery modes: a typed
+  // refusal, not a crashed server.
+  const std::string id = client.upload(corpus()[0].jfif, corpus()[0].params);
+  const transform::Chain overflow{
+      transform::crop_aligned(Rect{2147483640, 0, 8, 8})};
+  for (const DeliveryMode mode :
+       {DeliveryMode::kCoefficients, DeliveryMode::kClampedReencode})
+    EXPECT_EQ(
+        client.call(Op::kApply, encode_apply({id, mode, 80, overflow})).status,
+        Status::kBadRequest);
+  // A step its factory would refuse is refused when the payload parses.
+  transform::Step bad_scale = transform::scale(8, 8);
+  bad_scale.arg0 = 0;
+  EXPECT_EQ(client
+                .call(Op::kApply,
+                      encode_apply({id, DeliveryMode::kClampedReencode, 80,
+                                    {bad_scale}}))
+                .status,
+            Status::kBadRequest);
+  // The server keeps serving: a valid apply and download still work.
+  client.apply(id, {transform::rotate(90)}, DeliveryMode::kCoefficients, 80);
+  EXPECT_EQ(jpeg::parse(client.download(id).jfif).width(), 64);
+
   server.shutdown();
 }
 

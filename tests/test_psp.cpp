@@ -134,6 +134,22 @@ TEST(Psp, ClampedReencodeDeliversValidJpeg) {
   EXPECT_EQ(img.height(), 48);
 }
 
+TEST(Psp, CropNearIntMaxIsRefusedInEveryDeliveryMode) {
+  // x + w overflows int: the containment check once passed it, and the
+  // clamped-reencode path then read far outside the planes.
+  Scenario s;
+  PspService psp;
+  const std::string id = psp.upload(jpeg::serialize(s.shared.perturbed),
+                                    s.shared.params.serialize());
+  const transform::Chain chain{
+      transform::crop_aligned(Rect{2147483640, 0, 8, 8})};
+  for (const DeliveryMode mode :
+       {DeliveryMode::kCoefficients, DeliveryMode::kClampedReencode})
+    EXPECT_THROW(psp.apply_transform(id, chain, mode, 80), InvalidArgument);
+  // The entry still serves its upload.
+  EXPECT_EQ(jpeg::parse(psp.download(id).jfif), s.shared.perturbed);
+}
+
 TEST(Psp, CoefficientsModeRequiresLosslessChain) {
   Scenario s;
   PspService psp;

@@ -171,6 +171,37 @@ TEST(Chain, ParseRejectsUnknownKind) {
   for (int i = 0; i < 4; ++i) huge.i32(0);
   ByteReader hr(huge.bytes());
   EXPECT_THROW(read_chain(hr), ParseError);
+
+  // Steps whose parameters their factory would refuse are refused at parse
+  // time, before any worker sees them.
+  const auto step = [](Kind kind, int arg0, int arg1, Rect rect) {
+    Step s;
+    s.kind = kind;
+    s.arg0 = arg0;
+    s.arg1 = arg1;
+    s.rect = rect;
+    return s;
+  };
+  for (const Step& bad :
+       {step(Kind::kScale, 0, 48, {}), step(Kind::kScale, 64, -8, {}),
+        step(Kind::kCropAligned, 0, 0, Rect{4, 0, 8, 8}),
+        step(Kind::kCropAligned, 0, 0, Rect{0, 0, 12, 8}),
+        step(Kind::kCropAligned, 0, 0, Rect{0, 0, -8, 8}),
+        step(Kind::kCropAligned, 0, 0, Rect{0, 0, 8, 0}),
+        step(Kind::kCropAligned, 0, 0, Rect{-8, 0, 8, 8}),
+        step(Kind::kRecompress, 0, 0, {}), step(Kind::kRecompress, 101, 0, {})}) {
+    ByteWriter bw;
+    write_chain(bw, Chain{rotate(90), bad});
+    ByteReader br(bw.bytes());
+    EXPECT_THROW(read_chain(br), ParseError) << bad.to_string();
+  }
+  // Their valid neighbours still parse.
+  ByteWriter ok;
+  const Chain good{scale(1, 1), crop_aligned(Rect{0, 8, 8, 16}),
+                   recompress(1), recompress(100)};
+  write_chain(ok, good);
+  ByteReader okr(ok.bytes());
+  EXPECT_EQ(read_chain(okr), good);
 }
 
 TEST(ApplyLossless, RejectsPixelSteps) {
