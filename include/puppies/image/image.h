@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "puppies/common/error.h"
+#include "puppies/common/uninit.h"
 #include "puppies/image/geometry.h"
 
 namespace puppies {
@@ -19,6 +20,13 @@ class Plane {
       : w_(width), h_(height),
         data_(static_cast<std::size_t>(width) * height, fill) {
     require(width >= 0 && height >= 0, "Plane dimensions must be >= 0");
+  }
+  /// A plane whose samples are left unwritten: the caller writes every one
+  /// before reading it (see kUninitialized).
+  Plane(int width, int height, Uninitialized)
+      : w_(width), h_(height) {
+    require(width >= 0 && height >= 0, "Plane dimensions must be >= 0");
+    data_.resize(static_cast<std::size_t>(width) * height);
   }
 
   int width() const { return w_; }
@@ -58,7 +66,7 @@ class Plane {
   }
   int w_ = 0;
   int h_ = 0;
-  std::vector<T> data_;
+  std::vector<T, DefaultInitAllocator<T>> data_;
 };
 
 using GrayU8 = Plane<std::uint8_t>;
@@ -89,6 +97,10 @@ struct YccImage {
   YccImage(int width, int height)
       : y(width, height, 0.f), cb(width, height, 128.f),
         cr(width, height, 128.f) {}
+  /// Planes left unwritten, for a producer that writes every sample.
+  YccImage(int width, int height, Uninitialized)
+      : y(width, height, kUninitialized), cb(width, height, kUninitialized),
+        cr(width, height, kUninitialized) {}
 
   int width() const { return y.width(); }
   int height() const { return y.height(); }

@@ -1,7 +1,10 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
+#include <utility>
 
 #include "puppies/common/bytes.h"
 #include "puppies/image/image.h"
@@ -61,13 +64,59 @@ void inverse_transform_chunked(const CoefficientImage& coeffs,
                                const ChunkOptions& copt = {},
                                ChunkStats* stats = nullptr);
 
-/// Streaming transcode core: decode `coeffs`, clamp, and re-encode at
-/// `quality` one output-aligned band at a time, never materializing a
-/// full-resolution pixel plane on either side. The result is identical to
-/// forward_transform_clamped_chunked(inverse_transform(coeffs), ...) — the
-/// PSP recompress path streams through this when a transform chain folds to
-/// the identity. ChunkStats reports the combined decode + encode band
-/// scratch (still height-independent).
+/// The input rows a stage sees while it computes one output row. Rows sit
+/// in a ring of `slots` rows, so row(r) addresses slot r % slots; a whole
+/// plane is the window whose ring holds every row. Only the rows the stage
+/// declared for this output row, [first, last], may be read: any other row
+/// is refused (InvalidArgument), on the whole-plane path too, so a stage
+/// that under-declares its halo fails instead of reading a stale slot.
+struct RowWindow {
+  const float* base = nullptr;
+  int slots = 1;
+  std::size_t stride = 0;  ///< floats per row
+  int first = 0, last = -1;
+  const float* row(int r) const {
+    require(r >= first && r <= last, "row stage read an undeclared row");
+    return base + static_cast<std::size_t>(r % slots) * stride;
+  }
+};
+
+/// One band-local pixel step of a streamed re-encode (reencode_chunked): it
+/// maps a float plane to an out_w x out_h plane one output row at a time,
+/// the same way on each of the three YCbCr planes. Output row y reads only
+/// the input rows reads(y) names, a closed range [first, last] of at most 3
+/// rows whose ends never decrease as y grows. `row` writes out_w samples and
+/// may run concurrently for distinct output rows.
+struct RowStage {
+  int out_w = 0;
+  int out_h = 0;
+  std::function<std::pair<int, int>(int y)> reads;
+  std::function<void(const RowWindow& in, int y, float* out)> row;
+};
+
+/// The streamed clamped re-encode: decode `coeffs` one band at a time, run
+/// each stage on the float YCbCr rows it needs, clamp to 8-bit RGB and
+/// re-encode at `quality`, pulled by the output bands. No full-resolution
+/// pixel plane is held on any side: the decoder and every stage keep a
+/// window of about one band of their output rows, O(width * chunk rows),
+/// whatever the image height or a stage's scale factor (a stage that reads
+/// more input rows than its window holds runs in sub-bands). The result is
+/// identical to forward_transform_clamped_chunked of the stages run one
+/// after another over whole planes of inverse_transform(coeffs). ChunkStats
+/// reports the forward scratch plus every window. Each stage's output size
+/// is vetted against max_decode_pixels() before anything is allocated.
+CoefficientImage reencode_chunked(const CoefficientImage& coeffs,
+                                  std::span<const RowStage> stages,
+                                  int quality,
+                                  ChromaMode mode = ChromaMode::k444,
+                                  const ChunkOptions& copt = {},
+                                  ScanIndex* scan = nullptr,
+                                  ChunkStats* stats = nullptr);
+
+/// The empty-chain reencode_chunked: decode, clamp and re-encode at
+/// `quality` — forward_transform_clamped_chunked(inverse_transform(coeffs),
+/// ...) without the full planes. The PSP recompress path streams through
+/// this when a transform chain folds to the identity.
 CoefficientImage transcode_chunked(const CoefficientImage& coeffs, int quality,
                                    ChromaMode mode = ChromaMode::k444,
                                    const ChunkOptions& copt = {},

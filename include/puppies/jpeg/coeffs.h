@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "puppies/common/error.h"
+#include "puppies/common/uninit.h"
 #include "puppies/image/geometry.h"
 #include "puppies/jpeg/quant.h"
 
@@ -30,7 +31,7 @@ struct Component {
   int h = 1;              ///< horizontal sampling factor (luma 2 in 4:2:0)
   int v = 1;              ///< vertical sampling factor
   int quant_index = 0;    ///< index into CoefficientImage::qtables
-  std::vector<CoefBlock> blocks;
+  std::vector<CoefBlock, DefaultInitAllocator<CoefBlock>> blocks;
 
   CoefBlock& block(int bx, int by) {
     require(bx >= 0 && bx < blocks_w && by >= 0 && by < blocks_h,
@@ -60,6 +61,11 @@ class CoefficientImage {
   CoefficientImage(int width, int height, int components,
                    const QuantTable& luma, const QuantTable& chroma,
                    ChromaMode mode = ChromaMode::k444);
+  /// The same geometry with every block left unwritten, for a producer that
+  /// writes every coefficient of every block, padding included.
+  CoefficientImage(int width, int height, int components,
+                   const QuantTable& luma, const QuantTable& chroma,
+                   ChromaMode mode, Uninitialized);
 
   int width() const { return width_; }
   int height() const { return height_; }

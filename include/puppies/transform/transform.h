@@ -6,6 +6,7 @@
 
 #include "puppies/common/bytes.h"
 #include "puppies/image/image.h"
+#include "puppies/jpeg/codec.h"
 #include "puppies/jpeg/coeffs.h"
 
 namespace puppies::transform {
@@ -65,9 +66,35 @@ Dihedral dihedral(Kind kind);
 
 /// Applies a step / chain in the float pixel domain (unclamped, linear).
 /// Each maximal run of identity/rotate/flip/crop steps folds into one
-/// (window, D4 element) pair and costs one pass per plane.
+/// (window, D4 element) pair and costs one pass per plane; scale and
+/// filter3x3 write each output row once through the same row kernels the
+/// streamed re-encode runs. Before anything is allocated, a chain any of
+/// whose intermediate images would exceed jpeg::max_decode_pixels() is
+/// refused (InvalidArgument), as is a crop outside its input.
 YccImage apply(const Step& step, const YccImage& img);
 YccImage apply(const Chain& chain, YccImage img);
+
+/// True iff `chain` runs on the streamed re-encode (reencode_streamed): it
+/// has no recompress step, and every run of rotations/flips folds to the
+/// identity or flip_h, so each output row comes from input rows alone.
+/// Identity, scale, filter3x3 and crop steps always qualify. A pure
+/// function of the chain.
+bool streamable(const Chain& chain);
+
+/// The clamped re-encode of `chain` applied to `coeffs`, streamed through
+/// the band pipeline (jpeg::reencode_chunked) without any full-resolution
+/// float plane: byte-identical to
+/// jpeg::forward_transform_clamped_chunked(apply(chain,
+/// jpeg::inverse_transform(coeffs)), quality, mode, ...) for every chunk
+/// size, thread count and SIMD tier. Scale and filter steps become row
+/// stages; each run of identity/crop/flip steps folds to one window stage.
+/// Refuses what apply() refuses, before decoding; requires
+/// streamable(chain).
+jpeg::CoefficientImage reencode_streamed(
+    const Chain& chain, const jpeg::CoefficientImage& coeffs, int quality,
+    jpeg::ChromaMode mode = jpeg::ChromaMode::k444,
+    const jpeg::ChunkOptions& copt = {}, jpeg::ScanIndex* scan = nullptr,
+    jpeg::ChunkStats* stats = nullptr);
 
 /// Applies a lossless step in the coefficient domain.
 /// Throws InvalidArgument for non-lossless steps.

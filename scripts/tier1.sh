@@ -133,13 +133,18 @@ cmake --build build-tsan -j"$(nproc)" --target tests_store tests_chunked tests_n
 # parsing are additionally re-encoded with optimized Huffman tables, so the
 # histogram/table-build path sees hostile coefficient distributions under
 # the sanitizers too. The plain build above already ran the suite once;
-# these runs are what the crash-free claim actually rests on.
+# these runs are what the crash-free claim actually rests on. tests_chunked
+# rides along: the streamed re-encode indexes row windows, rings and halos
+# by hand, and its differential matrix (1-pixel planes, 10x downscales,
+# chunk sizes down to one MCU row) is what walks their edges.
 cmake -B build-asan -S . -DPUPPIES_SANITIZE=address
-cmake --build build-asan -j"$(nproc)" --target tests_fuzz
+cmake --build build-asan -j"$(nproc)" --target tests_fuzz tests_chunked
 ./build-asan/tests/tests_fuzz
+./build-asan/tests/tests_chunked
 
 cmake -B build-ubsan -S . -DPUPPIES_SANITIZE=undefined
-cmake --build build-ubsan -j"$(nproc)" --target tests_fuzz
+cmake --build build-ubsan -j"$(nproc)" --target tests_fuzz tests_chunked
 ./build-ubsan/tests/tests_fuzz
+./build-ubsan/tests/tests_chunked
 
-echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode/tests_delta + servebench self-test + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec delta byte-identity gate + tests_store/tests_chunked/tests_net/tests_decode/tests_delta/tests_jpeg under TSan + tests_fuzz under ASan/UBSan)"
+echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode/tests_delta + servebench self-test + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec delta byte-identity gate + tests_store/tests_chunked/tests_net/tests_decode/tests_delta/tests_jpeg under TSan + tests_fuzz/tests_chunked under ASan/UBSan)"

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <initializer_list>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "puppies/exec/parallel_for.h"
@@ -160,8 +161,10 @@ CoefficientImage forward_bands(int width, int height, const BandStage& stage1,
   require_pixel_limit(width, height, "encode");
 
   const int chunk_mcu_rows = resolve_chunk_rows(copt);
+  // Stage 3 writes every coefficient of every block, padding included, so
+  // the pool workers that fill the blocks first-touch their pages.
   CoefficientImage out(width, height, 3, luma_quant_table(quality),
-                       chroma_quant_table(quality), mode);
+                       chroma_quant_table(quality), mode, kUninitialized);
   if (scan) {
     scan->masks.resize(3);
     for (int c = 0; c < 3; ++c)
@@ -315,26 +318,26 @@ namespace {
 
 /// Band-resident inverse pipeline behind every decode entry point:
 /// dequantize+IDCT the block rows covering a pixel-row range of every
-/// component, upsample subsampled chroma through its one-row vertical halo,
-/// then either color-convert and clamp into the band's RGB rows or — with an
-/// `out` image — leave the unclamped float YCbCr rows in `out`'s planes.
-/// Every kernel invocation sees exactly the values a whole-plane decode
-/// would hand it — same dequantize_idct samples, same upsample taps, same
-/// row-wise color convert — so the output is bit-identical for every band
-/// size (DESIGN.md §13). RGB rows stay resident (readable through
-/// r_row/g_row/b_row) until the next decode_rows() call.
+/// component and upsample subsampled chroma through its one-row vertical
+/// halo, leaving the unclamped float YCbCr rows either in a ring of
+/// `ring_rows` rows per plane (row y in slot y % ring_rows) or — with an
+/// `out` image — in `out`'s planes. Every kernel invocation sees exactly the
+/// values a whole-plane decode would hand it — same dequantize_idct samples,
+/// same upsample taps — so the rows are bit-identical for every band size
+/// and ring position (DESIGN.md §13). A decoded row stays resident until a
+/// later decode_rows() call reuses its slot.
 class InverseBandDecoder {
  public:
-  InverseBandDecoder(const CoefficientImage& coeffs, int cap_rows,
+  InverseBandDecoder(const CoefficientImage& coeffs, int ring_rows,
                      YccImage* out = nullptr)
       : coeffs_(coeffs),
         out_(out),
         w_(coeffs.width()),
         h_(coeffs.height()),
-        cap_rows_(std::min(cap_rows, coeffs.height())) {
+        ring_(std::min(ring_rows, coeffs.height())) {
     require(coeffs.component_count() == 3,
             "chunked inverse expects a 3-component image");
-    require(cap_rows_ > 0, "chunked inverse band capacity");
+    require(ring_ > 0, "chunked inverse band capacity");
     for (int c = 0; c < 3; ++c) {
       const Component& comp = coeffs.component(c);
       cw_[c] = (w_ * comp.h + coeffs.h_max() - 1) / coeffs.h_max();
@@ -342,95 +345,97 @@ class InverseBandDecoder {
       qc_[c] = quant_constants(coeffs.qtable_for(c));
     }
     subsampled_ = cw_[1] != w_ || ch_[1] != h_;
-    if (!out_) {
-      ycc_.resize(3 * static_cast<std::size_t>(w_) * cap_rows_);
-      rgb_.resize(3 * static_cast<std::size_t>(w_) * cap_rows_);
-    }
+    if (!out_) ycc_.resize(3 * static_cast<std::size_t>(w_) * ring_);
     if (subsampled_) {
       // A band of N output rows reads at most N * (ch/h) + 1 chroma rows
       // (the vertical taps are monotonic in y), block-aligned at both ends:
       // N/2 rounded up, one halo row each side, padded to 8-row blocks.
-      ccap_ = std::min((cap_rows_ + 1) / 2 + 24, ch_[1]);
+      ccap_ = std::min((ring_ + 1) / 2 + 24, ch_[1]);
       chroma_.resize(2 * static_cast<std::size_t>(cw_[1]) * ccap_);
     }
   }
 
-  /// Decodes pixel rows [y0, y1) of the image into the band buffers. y0
-  /// must be block-row aligned (every caller bands on MCU-row multiples),
-  /// so no 8-row luma block ever straddles a band boundary.
+  int width() const { return w_; }
+  int height() const { return h_; }
+
+  /// Decodes pixel rows [y0, y1) of the image into their slots. y0 must be
+  /// block-row aligned, so no 8-row luma block ever straddles two calls.
   void decode_rows(int y0, int y1) {
-    require(y0 >= 0 && y0 < y1 && y1 <= h_ && y1 - y0 <= cap_rows_ &&
+    require(y0 >= 0 && y0 < y1 && y1 <= h_ && y1 - y0 <= ring_ &&
                 y0 % 8 == 0 && (y1 == h_ || y1 % 8 == 0),
             "decode_rows range must be block-aligned and fit the band");
-    y0_ = y0;
     const kernels::KernelTable& k = kernels::active();
     if (!subsampled_) {
-      decode_blocks(k, {{0, ycc_row(0, 0), w_, y0, y1},
-                        {1, ycc_row(1, 0), w_, y0, y1},
-                        {2, ycc_row(2, 0), w_, y0, y1}});
+      decode_blocks(k, {ycc_rows(0, y0, y1), ycc_rows(1, y0, y1),
+                        ycc_rows(2, y0, y1)});
     } else {
       upsample_chroma(k, y0, y1);
     }
-    if (out_) return;  // unclamped YCbCr rows are already in place
-    // Color-convert + clamp through the same kernel row op ycc_to_rgb uses.
-    exec::parallel_for(static_cast<std::size_t>(y1 - y0), [&](std::size_t i) {
-      const int r = static_cast<int>(i);
-      k.ycc_to_rgb_row(ycc_row(0, r), ycc_row(1, r), ycc_row(2, r), w_,
-                       rgb_row(0, r), rgb_row(1, r), rgb_row(2, r));
-    });
   }
 
-  /// Clamped RGB rows of the decoded range, addressed by image row.
-  const std::uint8_t* r_row(int y) const { return row_u8(0, y); }
-  const std::uint8_t* g_row(int y) const { return row_u8(1, y); }
-  const std::uint8_t* b_row(int y) const { return row_u8(2, y); }
+  /// Float YCbCr row y of `plane`; valid once decoded, until its slot is
+  /// reused.
+  float* row(int plane, int y) {
+    if (out_) return out_->component(plane).row(y).data();
+    return ycc_.data() +
+           (static_cast<std::size_t>(plane) * ring_ + y % ring_) * w_;
+  }
+
+  /// The ring of `plane` as a row window (ring decoders only).
+  RowWindow window(int plane) const {
+    return {ycc_.data() + static_cast<std::size_t>(plane) * ring_ * w_, ring_,
+            static_cast<std::size_t>(w_)};
+  }
 
   /// Resident scratch (the decode-side ChunkStats::peak_chunk_bytes).
   std::size_t bytes() const {
-    return ycc_.size() * sizeof(float) + chroma_.size() * sizeof(float) +
-           rgb_.size() * sizeof(std::uint8_t);
+    return (ycc_.size() + chroma_.size()) * sizeof(float);
   }
 
  private:
+  /// Component `c`'s share of a band decode: its plane rows [row_begin,
+  /// row_end) land at rows of `base` (stride plane_w), row y in slot
+  /// (y - origin) % slots. row_begin is block-aligned and row_end at most
+  /// the plane height.
+  struct PlaneRows {
+    int c;
+    float* base;
+    int plane_w, origin, slots, row_begin, row_end;
+    float* row(int y) const {
+      return base + static_cast<std::size_t>((y - origin) % slots) * plane_w;
+    }
+  };
+
+  /// Rows [y0, y1) of full-resolution YCbCr plane `c`.
+  PlaneRows ycc_rows(int c, int y0, int y1) {
+    if (out_) return {c, out_->component(c).row(0).data(), w_, 0, h_, y0, y1};
+    return {c, ycc_.data() + static_cast<std::size_t>(c) * ring_ * w_, w_, 0,
+            ring_, y0, y1};
+  }
+
   /// Writes samples + 128 into rows [max(row_begin, 8*by),
-  /// min(row_end, 8*by + 8)) of a band whose first row is row_begin, columns
-  /// clipped to plane_w — the same values a whole-plane deposit writes.
-  static void deposit_band_block(float* band, int plane_w, int row_begin,
-                                 int row_end, int bx, int by,
+  /// min(row_end, 8*by + 8)) of `p`, columns clipped to plane_w — the same
+  /// values a whole-plane deposit writes.
+  static void deposit_band_block(const PlaneRows& p, int bx, int by,
                                  const float* samples) {
     const int x0 = bx * 8, y0 = by * 8;
-    const int ya = std::max(y0, row_begin);
-    const int yb = std::min(y0 + 8, row_end);
-    const int xe = std::min(8, plane_w - x0);
-    if (ya == y0 && yb == y0 + 8 && xe == 8) {
-      // Interior block: fixed trip counts let the compiler vectorize.
-      for (int y = 0; y < 8; ++y) {
-        float* dst =
-            band + static_cast<std::size_t>(y0 + y - row_begin) * plane_w + x0;
-        for (int x = 0; x < 8; ++x) dst[x] = samples[y * 8 + x] + 128.f;
-      }
-      return;
-    }
+    const int ya = std::max(y0, p.row_begin);
+    const int yb = std::min(y0 + 8, p.row_end);
+    const int xe = std::min(8, p.plane_w - x0);
     for (int y = ya; y < yb; ++y) {
-      float* dst =
-          band + static_cast<std::size_t>(y - row_begin) * plane_w + x0;
+      float* dst = p.row(y) + x0;
       const float* src = samples + (y - y0) * 8;
-      for (int x = 0; x < xe; ++x) dst[x] = src[x] + 128.f;
+      if (xe == 8) {
+        // Interior column: a fixed trip count lets the compiler vectorize.
+        for (int x = 0; x < 8; ++x) dst[x] = src[x] + 128.f;
+      } else {
+        for (int x = 0; x < xe; ++x) dst[x] = src[x] + 128.f;
+      }
     }
   }
 
-  /// Component `c`'s share of a band decode: its plane rows [row_begin,
-  /// row_end) land in `band` (stride plane_w, first resident row
-  /// row_begin). row_begin is block-aligned and row_end at most the plane
-  /// height.
-  struct PlaneRows {
-    int c;
-    float* band;
-    int plane_w, row_begin, row_end;
-  };
-
   /// Dequantize+IDCT the block rows covering every listed component's rows,
-  /// all components in one pass on the pool; block rows write disjoint band
+  /// all components in one pass on the pool; block rows write disjoint
   /// rows.
   void decode_blocks(const kernels::KernelTable& k,
                      std::initializer_list<PlaneRows> planes) {
@@ -446,8 +451,7 @@ class InverseBandDecoder {
       FloatBlock samples;
       for (int bx = 0; bx < comp.blocks_w; ++bx) {
         k.dequantize_idct(comp.block(bx, by).data(), qc_[p.c], samples.data());
-        deposit_band_block(p.band, p.plane_w, p.row_begin, p.row_end, bx, by,
-                           samples.data());
+        deposit_band_block(p, bx, by, samples.data());
       }
     });
   }
@@ -472,9 +476,11 @@ class InverseBandDecoder {
     cbase_ = ca / 8 * 8;
     const int cend = std::min((cb / 8 + 1) * 8, ch);
     require(cend - cbase_ <= ccap_, "chroma band overflow");
-    decode_blocks(k, {{0, ycc_row(0, 0), w_, y0, y1},
-                      {1, chroma_row(0, cbase_), cw, cbase_, cend},
-                      {2, chroma_row(1, cbase_), cw, cbase_, cend}});
+    const auto chroma_rows = [&](int c) {
+      return PlaneRows{c, chroma_row(c - 1, cbase_), cw, cbase_, ccap_, cbase_,
+                       cend};
+    };
+    decode_blocks(k, {ycc_rows(0, y0, y1), chroma_rows(1), chroma_rows(2)});
     exec::parallel_for(static_cast<std::size_t>(y1 - y0), [&](std::size_t i) {
       const int y = y0 + static_cast<int>(i);
       const float fy = (y + 0.5f) * sy - 0.5f;
@@ -482,29 +488,13 @@ class InverseBandDecoder {
       const float wy = fy - t0;
       const int ya = clampc(t0);
       const int yb = clampc(t0 + 1);
-      const int r = static_cast<int>(i);
       k.upsample_row(chroma_row(0, ya), chroma_row(0, yb), cw, sx, wy, w_,
-                     ycc_row(1, r));
+                     row(1, y));
       k.upsample_row(chroma_row(1, ya), chroma_row(1, yb), cw, sx, wy, w_,
-                     ycc_row(2, r));
+                     row(2, y));
     });
   }
 
-  /// Band row i of YCbCr plane `plane`: the caller's output plane when
-  /// decoding into a YccImage, else the band scratch.
-  float* ycc_row(int plane, int i) {
-    if (out_) return out_->component(plane).row(y0_ + i).data();
-    return ycc_.data() +
-           (static_cast<std::size_t>(plane) * cap_rows_ + i) * w_;
-  }
-  std::uint8_t* rgb_row(int plane, int i) {
-    return rgb_.data() +
-           (static_cast<std::size_t>(plane) * cap_rows_ + i) * w_;
-  }
-  const std::uint8_t* row_u8(int plane, int y) const {
-    return rgb_.data() +
-           (static_cast<std::size_t>(plane) * cap_rows_ + (y - y0_)) * w_;
-  }
   /// Decoded (subsampled) chroma rows addressed by chroma-plane row.
   float* chroma_row(int plane, int cy) {
     return chroma_.data() +
@@ -514,28 +504,28 @@ class InverseBandDecoder {
   const CoefficientImage& coeffs_;
   YccImage* out_ = nullptr;
   int w_ = 0, h_ = 0;
-  int cap_rows_ = 0;
+  int ring_ = 0;
   int ccap_ = 0;
   int cbase_ = 0;
-  int y0_ = 0;
   bool subsampled_ = false;
   int cw_[3] = {0, 0, 0}, ch_[3] = {0, 0, 0};
   kernels::QuantConstants qc_[3];
   std::vector<float> ycc_;
   std::vector<float> chroma_;
-  std::vector<std::uint8_t> rgb_;
 };
 
 /// Runs the inverse pipeline band by band over the whole image; `emit` sees
 /// each decoded band [y0, y1) while its rows are resident. A non-null `out`
-/// is sized to the image after the pixel gate and receives the unclamped
-/// YCbCr rows instead of the RGB band.
+/// is sized to the image after the pixel gate and receives the rows instead
+/// of the band ring.
 void decode_bands(
     const CoefficientImage& coeffs, YccImage* out, const ChunkOptions& copt,
     ChunkStats* stats,
-    const std::function<void(const InverseBandDecoder&, int, int)>& emit) {
+    const std::function<void(InverseBandDecoder&, int, int)>& emit) {
   require_pixel_limit(coeffs.width(), coeffs.height(), "decode");
-  if (out) *out = YccImage(coeffs.width(), coeffs.height());
+  // Every sample is written by the band workers below, which thereby
+  // first-touch the planes' pages.
+  if (out) *out = YccImage(coeffs.width(), coeffs.height(), kUninitialized);
   const int chunk_mcu_rows = resolve_chunk_rows(copt);
   const int mcu_px = 8 * coeffs.v_max();
   const int total_mcu_rows = coeffs.blocks_h() / coeffs.component(0).v;
@@ -557,16 +547,129 @@ void decode_bands(
   }
 }
 
+/// One node of a streamed re-encode — the source decoder or a row stage —
+/// keeping a window of its output rows [lo, hi) resident. A request may
+/// span at most `cap` rows, and requests only move down the image.
+class StreamNode {
+ public:
+  /// The source: the decoder's ring, with slack for whole block rows.
+  StreamNode(InverseBandDecoder& dec, int cap)
+      : cap_(cap), w_(dec.width()), h_(dec.height()), dec_(&dec) {}
+
+  /// A stage reading `up`'s rows into a ring of `cap` rows per plane.
+  StreamNode(const RowStage& stage, StreamNode& up, int cap)
+      : cap_(cap),
+        w_(stage.out_w),
+        h_(stage.out_h),
+        stage_(&stage),
+        up_(&up),
+        ring_(3 * static_cast<std::size_t>(w_) * cap) {}
+
+  /// Ring rows a decoder source needs for requests of `cap` rows: the
+  /// request's rows, widened to whole 8-row block rows at both ends.
+  static int decoder_slots(int cap) { return cap + 16; }
+
+  int cap() const { return cap_; }
+  int width() const { return w_; }
+  int height() const { return h_; }
+
+  /// Makes output rows [lo, hi) resident. Rows below lo may be dropped, and
+  /// rows a request skips over are never produced.
+  void ensure(int lo, int hi) {
+    require(lo >= lo_ && lo < hi && hi <= h_ && hi - lo <= cap_,
+            "streamed row window request");
+    lo_ = lo;
+    if (dec_) {
+      // Block rows decode whole: resume at the block row holding lo when
+      // nothing useful is resident, and finish the block row holding hi-1.
+      if (lo >= hi_) hi_ = lo / 8 * 8;
+      if (hi_ < hi) {
+        const int end = std::min(h_, (hi + 7) / 8 * 8);
+        dec_->decode_rows(hi_, end);
+        hi_ = end;
+      }
+      return;
+    }
+    if (lo >= hi_) hi_ = lo;
+    while (hi_ < hi) {
+      // The longest run of output rows [a, b) whose input rows fit the
+      // upstream window: a heavy downscale runs in several sub-bands.
+      const int a = hi_;
+      const int first = stage_->reads(a).first;
+      int last = stage_->reads(a).second;
+      require(first >= 0 && first <= last && last < up_->height() &&
+                  last - first < up_->cap(),
+              "row stage reads outside its input window");
+      int b = a + 1;
+      for (; b < hi; ++b) {
+        const int l = stage_->reads(b).second;
+        if (l - first >= up_->cap()) break;
+        last = l;
+      }
+      up_->ensure(first, last + 1);
+      const std::size_t n = static_cast<std::size_t>(b - a);
+      exec::parallel_for(3 * n, [&](std::size_t job) {
+        const int plane = static_cast<int>(job / n);
+        const int y = a + static_cast<int>(job % n);
+        RowWindow in = up_->window(plane);
+        std::tie(in.first, in.last) = stage_->reads(y);
+        stage_->row(in, y, row(plane, y));
+      });
+      hi_ = b;
+    }
+  }
+
+  float* row(int plane, int y) {
+    if (dec_) return dec_->row(plane, y);
+    return ring_.data() +
+           (static_cast<std::size_t>(plane) * cap_ + y % cap_) * w_;
+  }
+
+  RowWindow window(int plane) const {
+    if (dec_) return dec_->window(plane);
+    return {ring_.data() + static_cast<std::size_t>(plane) * cap_ * w_, cap_,
+            static_cast<std::size_t>(w_)};
+  }
+
+  std::size_t bytes() const { return ring_.size() * sizeof(float); }
+
+ private:
+  int cap_, w_, h_;
+  int lo_ = 0;  ///< first row of the last request; requests never go back
+  int hi_ = 0;  ///< one past the last row produced
+  InverseBandDecoder* dec_ = nullptr;
+  const RowStage* stage_ = nullptr;
+  StreamNode* up_ = nullptr;
+  std::vector<float> ring_;
+};
+
 }  // namespace
 
 void inverse_transform_chunked(const CoefficientImage& coeffs,
                                const RgbRowSink& sink,
                                const ChunkOptions& copt, ChunkStats* stats) {
-  decode_bands(coeffs, nullptr, copt, stats,
-               [&sink](const InverseBandDecoder& dec, int y0, int y1) {
-                 for (int y = y0; y < y1; ++y)
-                   sink(y, dec.r_row(y), dec.g_row(y), dec.b_row(y));
-               });
+  // Each band is color-converted and clamped through the kernel row op
+  // ycc_to_rgb uses, into one band of RGB rows (plane-major).
+  std::vector<std::uint8_t> rgb;
+  const kernels::KernelTable& k = kernels::active();
+  const auto emit = [&](InverseBandDecoder& dec, int y0, int y1) {
+    const int w = dec.width();
+    const std::size_t plane = static_cast<std::size_t>(w) * (y1 - y0);
+    if (rgb.size() < 3 * plane) rgb.resize(3 * plane);
+    const auto row = [&](int y) {
+      return rgb.data() + static_cast<std::size_t>(y - y0) * w;
+    };
+    exec::parallel_for(static_cast<std::size_t>(y1 - y0), [&](std::size_t i) {
+      const int y = y0 + static_cast<int>(i);
+      std::uint8_t* r = row(y);
+      k.ycc_to_rgb_row(dec.row(0, y), dec.row(1, y), dec.row(2, y), w, r,
+                       r + plane, r + 2 * plane);
+    });
+    for (int y = y0; y < y1; ++y)
+      sink(y, row(y), row(y) + plane, row(y) + 2 * plane);
+  };
+  decode_bands(coeffs, nullptr, copt, stats, emit);
+  if (stats) stats->peak_chunk_bytes += rgb.size();
 }
 
 YccImage inverse_transform(const CoefficientImage& coeffs) {
@@ -595,33 +698,63 @@ RgbImage decompress(std::span<const std::uint8_t> data) {
   return decode_to_rgb(parse(data));
 }
 
-CoefficientImage transcode_chunked(const CoefficientImage& coeffs, int quality,
-                                   ChromaMode mode, const ChunkOptions& copt,
-                                   ScanIndex* scan, ChunkStats* stats) {
-  const int w = coeffs.width(), h = coeffs.height();
+CoefficientImage reencode_chunked(const CoefficientImage& coeffs,
+                                  std::span<const RowStage> stages,
+                                  int quality, ChromaMode mode,
+                                  const ChunkOptions& copt, ScanIndex* scan,
+                                  ChunkStats* stats) {
+  require_pixel_limit(coeffs.width(), coeffs.height(), "decode");
+  for (const RowStage& s : stages) {
+    require(s.out_w > 0 && s.out_h > 0, "row stage dimensions");
+    require_pixel_limit(s.out_w, s.out_h, "row stage");
+  }
   // Band on the OUTPUT geometry: the forward pipeline decides which rows it
-  // needs next, and stage 1 first pulls the inverse decoder forward to
-  // cover exactly that range — serially, before any row is read, so the row
-  // source stays a pure read under the pool's concurrency. Forward
-  // bands start on output-MCU-row multiples, which are always 8-aligned,
-  // satisfying decode_rows' block alignment whatever the input's sampling.
-  const int out_mcu_px = 8 * (mode == ChromaMode::k420 ? 2 : 1);
-  InverseBandDecoder dec(coeffs, resolve_chunk_rows(copt) * out_mcu_px);
-  const RgbRowSource source = [&dec](int y, std::uint8_t*, std::uint8_t*,
-                                     std::uint8_t*) {
-    return RgbRow{dec.r_row(y), dec.g_row(y), dec.b_row(y)};
+  // needs next, and stage 1 pulls them through the nodes — serially, before
+  // any row is read, so the row source stays a pure read under the pool's
+  // concurrency. Each node's window holds one output band plus the 3-row
+  // reach of the stage reading it; the decoder adds whole block rows.
+  const int band_rows = resolve_chunk_rows(copt) * 8 *
+                        (mode == ChromaMode::k420 ? 2 : 1);
+  const int cap = band_rows + 2;
+  InverseBandDecoder dec(
+      coeffs, StreamNode::decoder_slots(stages.empty() ? band_rows : cap));
+  std::vector<StreamNode> nodes;
+  nodes.reserve(stages.size() + 1);
+  nodes.emplace_back(dec, stages.empty() ? band_rows : cap);
+  for (std::size_t i = 0; i < stages.size(); ++i)
+    nodes.emplace_back(stages[i], nodes.back(),
+                       i + 1 == stages.size() ? band_rows : cap);
+  StreamNode& last = nodes.back();
+  const int w = last.width();
+  // Clamp one row at a time through the kernel ycc_to_rgb uses, as
+  // forward_transform_clamped_chunked does.
+  const kernels::KernelTable& k = kernels::active();
+  const RgbRowSource source = [&](int y, std::uint8_t* r, std::uint8_t* g,
+                                  std::uint8_t* b) {
+    k.ycc_to_rgb_row(last.row(0, y), last.row(1, y), last.row(2, y), w, r, g,
+                     b);
+    return RgbRow{r, g, b};
   };
   const BandStage convert = convert_rows(source);
   const BandStage stage1 = [&](int y0, int y1, ForwardScratch& buf) {
-    dec.decode_rows(y0, y1);
+    last.ensure(y0, y1);
     return convert(y0, y1, buf);
   };
-  CoefficientImage out =
-      forward_bands(w, h, stage1, quality, mode, copt, scan, stats);
-  // Both band buffers are resident at once; stats reports the true
-  // pixel-domain footprint of the transcode (still height-independent).
-  if (stats) stats->peak_chunk_bytes += dec.bytes();
+  CoefficientImage out = forward_bands(w, last.height(), stage1, quality, mode,
+                                       copt, scan, stats);
+  // Every window is resident at once; stats reports the true pixel-domain
+  // footprint of the re-encode (still height-independent).
+  if (stats) {
+    stats->peak_chunk_bytes += dec.bytes();
+    for (const StreamNode& n : nodes) stats->peak_chunk_bytes += n.bytes();
+  }
   return out;
+}
+
+CoefficientImage transcode_chunked(const CoefficientImage& coeffs, int quality,
+                                   ChromaMode mode, const ChunkOptions& copt,
+                                   ScanIndex* scan, ChunkStats* stats) {
+  return reencode_chunked(coeffs, {}, quality, mode, copt, scan, stats);
 }
 
 Bytes recompress_chunked(const CoefficientImage& coeffs, int quality,

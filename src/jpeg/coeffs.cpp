@@ -7,6 +7,16 @@ namespace puppies::jpeg {
 CoefficientImage::CoefficientImage(int width, int height, int components,
                                    const QuantTable& luma,
                                    const QuantTable& chroma, ChromaMode mode)
+    : CoefficientImage(width, height, components, luma, chroma, mode,
+                       kUninitialized) {
+  for (Component& comp : comps_)
+    std::fill(comp.blocks.begin(), comp.blocks.end(), CoefBlock{});
+}
+
+CoefficientImage::CoefficientImage(int width, int height, int components,
+                                   const QuantTable& luma,
+                                   const QuantTable& chroma, ChromaMode mode,
+                                   Uninitialized)
     : width_(width), height_(height), mode_(mode) {
   require(width > 0 && height > 0, "CoefficientImage dimensions");
   require(components == 1 || components == 3,
@@ -35,8 +45,8 @@ CoefficientImage::CoefficientImage(int width, int height, int components,
     // Component grids are padded to whole MCUs (libjpeg does the same).
     comp.blocks_w = mcu_cols * comp.h;
     comp.blocks_h = mcu_rows * comp.v;
-    comp.blocks.assign(
-        static_cast<std::size_t>(comp.blocks_w) * comp.blocks_h, CoefBlock{});
+    comp.blocks.resize(static_cast<std::size_t>(comp.blocks_w) *
+                       comp.blocks_h);
   }
 }
 

@@ -213,23 +213,21 @@ store::TransformResult PspService::compute_transform(
     require(mode != DeliveryMode::kCoefficients,
             "coefficient delivery requires an all-lossless chain");
     metrics::ScopedTimer timer(metrics::histogram("psp.transform.pixel_ms"));
+    jpeg::EncodeOptions eo;
+    eo.huffman = config_.huffman;
+    eo.restart_interval = config_.restart_interval;
+    jpeg::ChunkOptions copt;
+    copt.mcu_rows = config_.chunk_mcu_rows;
     if (mode == DeliveryMode::kClampedReencode &&
         transform::canonicalize(chain).empty()) {
-      // The chain folds to the identity (plain recompress-at-quality): stream
-      // decode -> clamp -> re-encode one output band at a time
-      // (jpeg::transcode_chunked), never materializing a full pixel plane on
-      // either side. Byte-identical to the general path below — D4 folding
-      // is exact — so the shared transform cache key stays safe.
+      // The chain folds to the identity (plain recompress-at-quality): the
+      // empty-chain streamed re-encode (jpeg::transcode_chunked).
+      // Byte-identical to the general path below — D4 folding is exact.
       metrics::ScopedTimer reencode(
           metrics::histogram("psp.transform.reencode_ms"));
       metrics::counter("psp.codec.inverse").add();
       metrics::counter("psp.codec.forward").add();
       metrics::counter("psp.codec.recompress_streamed").add();
-      jpeg::EncodeOptions eo;
-      eo.huffman = config_.huffman;
-      eo.restart_interval = config_.restart_interval;
-      jpeg::ChunkOptions copt;
-      copt.mcu_rows = config_.chunk_mcu_rows;
       // Delta recompress: the round trip at the right quality leaves most
       // blocks bit-identical to the upload parse, so only the segments the
       // clamp actually changed re-entropy-code; the rest splice from the
@@ -247,26 +245,36 @@ store::TransformResult PspService::compute_transform(
       record_delta_metrics(ds);
       return r;
     }
+    // Realistic path: clamp and re-encode, streamed one band of MCU rows at
+    // a time (jpeg/chunk.h) so per-request pixel scratch stays O(width *
+    // chunk rows). Byte-identical to forward_transform(rgb_to_ycc(
+    // ycc_to_rgb(...))) at every band size, which is why the chunk knob
+    // never enters the transform cache key.
+    if (mode == DeliveryMode::kClampedReencode &&
+        transform::streamable(chain)) {
+      // Scale/filter/crop/flip_h chains run as row stages between the band
+      // decoder and the band encoder: no full-resolution plane at all.
+      metrics::ScopedTimer reencode(
+          metrics::histogram("psp.transform.reencode_ms"));
+      metrics::counter("psp.codec.inverse").add();
+      metrics::counter("psp.codec.forward").add();
+      metrics::counter("psp.codec.pixel_streamed").add();
+      jpeg::ScanIndex scan;
+      const jpeg::CoefficientImage coeffs = transform::reencode_streamed(
+          chain, e.parsed, reencode_quality, eo.chroma, copt, &scan);
+      r.jfif = serialize_measured(coeffs, eo, &scan);
+      return r;
+    }
     metrics::counter("psp.codec.inverse").add();
     const YccImage transformed =
         transform::apply(chain, jpeg::inverse_transform(e.parsed));
     if (mode == DeliveryMode::kLinearFloat) {
       r.pixels = transformed;
     } else {
-      // Realistic path: clamp and re-encode, streamed one band of MCU rows
-      // at a time (jpeg/chunk.h) so per-request pixel scratch stays
-      // O(width * chunk rows) instead of three more full-image planes.
-      // Byte-identical to forward_transform(rgb_to_ycc(ycc_to_rgb(...))) at
-      // every band size, which is why the chunk knob never enters the
-      // transform cache key.
+      // Rotations, flip_v and recompress steps materialize the planes.
       metrics::ScopedTimer reencode(
           metrics::histogram("psp.transform.reencode_ms"));
       metrics::counter("psp.codec.forward").add();
-      jpeg::EncodeOptions eo;
-      eo.huffman = config_.huffman;
-      eo.restart_interval = config_.restart_interval;
-      jpeg::ChunkOptions copt;
-      copt.mcu_rows = config_.chunk_mcu_rows;
       jpeg::ScanIndex scan;
       const jpeg::CoefficientImage coeffs =
           jpeg::forward_transform_clamped_chunked(

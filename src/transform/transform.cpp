@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <span>
+#include <string>
 #include <tuple>
 
 #include "puppies/exec/parallel_for.h"
+#include "puppies/jpeg/chunk.h"
 #include "puppies/jpeg/codec.h"
 #include "puppies/jpeg/lossless.h"
 
@@ -143,28 +147,132 @@ Step recompress(int quality) {
 
 namespace {
 
-Plane<float> scale_plane(const Plane<float>& in, int nw, int nh) {
-  Plane<float> out(nw, nh, 0.f);
-  const float sx = static_cast<float>(in.width()) / nw;
-  const float sy = static_cast<float>(in.height()) / nh;
-  // Output rows are independent; each writes only its own row.
-  exec::parallel_for(static_cast<std::size_t>(nh), [&](std::size_t row) {
-    const int y = static_cast<int>(row);
-    const float fy = (y + 0.5f) * sy - 0.5f;
-    const int y0 = static_cast<int>(std::floor(fy));
-    const float wy = fy - y0;
-    for (int x = 0; x < nw; ++x) {
-      const float fx = (x + 0.5f) * sx - 0.5f;
-      const int x0 = static_cast<int>(std::floor(fx));
-      const float wx = fx - x0;
-      const float a = in.clamped_at(x0, y0);
-      const float b = in.clamped_at(x0 + 1, y0);
-      const float c = in.clamped_at(x0, y0 + 1);
-      const float d = in.clamped_at(x0 + 1, y0 + 1);
-      out.at(x, y) =
-          a * (1 - wx) * (1 - wy) + b * wx * (1 - wy) + c * (1 - wx) * wy +
-          d * wx * wy;
-    }
+/// The bilinear taps of a resample from n to m samples along one axis:
+/// output i blends clamped inputs a[i] and b[i] = clamp(a + 1) with weight
+/// t[i] on b — the floor and clamp of the continuous map, once per index.
+struct BilinearTaps {
+  std::vector<int> a, b;
+  std::vector<float> t;
+};
+
+BilinearTaps bilinear_taps(int n, int m) {
+  BilinearTaps k{std::vector<int>(static_cast<std::size_t>(m)),
+                 std::vector<int>(static_cast<std::size_t>(m)),
+                 std::vector<float>(static_cast<std::size_t>(m))};
+  const float s = static_cast<float>(n) / m;
+  const auto clamp = [n](int v) { return v < 0 ? 0 : (v >= n ? n - 1 : v); };
+  for (int i = 0; i < m; ++i) {
+    const float f = (i + 0.5f) * s - 0.5f;
+    const int i0 = static_cast<int>(std::floor(f));
+    k.a[static_cast<std::size_t>(i)] = clamp(i0);
+    k.b[static_cast<std::size_t>(i)] = clamp(i0 + 1);
+    k.t[static_cast<std::size_t>(i)] = f - i0;
+  }
+  return k;
+}
+
+/// One output row of a bilinear resample: rows r0/r1 are the clamped
+/// vertical taps, wy the weight on r1.
+void bilinear_row(const float* r0, const float* r1, float wy,
+                  const BilinearTaps& cols, float* out) {
+  const float uy = 1 - wy;
+  const std::size_t n = cols.t.size();
+  for (std::size_t x = 0; x < n; ++x) {
+    const int xa = cols.a[x], xb = cols.b[x];
+    const float wx = cols.t[x], ux = 1 - wx;
+    out[x] = r0[xa] * ux * uy + r0[xb] * wx * uy + r1[xa] * ux * wy +
+             r1[xb] * wx * wy;
+  }
+}
+
+/// One output row of a 3x3 convolution with replicated borders: rows
+/// up/mid/down are the clamped rows y-1, y, y+1. Taps accumulate row-major
+/// from 0, as a clamped per-pixel read would.
+void filter_row(const float* __restrict up, const float* __restrict mid,
+                const float* __restrict down, int w,
+                const std::array<float, 9>& k, float* __restrict out) {
+  const float* rows[3] = {up, mid, down};
+  const auto edge = [&](int x) {
+    float acc = 0;
+    for (int dy = 0; dy < 3; ++dy)
+      for (int dx = -1; dx <= 1; ++dx) {
+        const int c = std::clamp(x + dx, 0, w - 1);
+        acc += k[static_cast<std::size_t>(dy * 3 + dx + 1)] * rows[dy][c];
+      }
+    return acc;
+  };
+  out[0] = edge(0);
+  if (w > 1) out[w - 1] = edge(w - 1);
+  // Interior columns: every tap in range, fixed order, no clamps.
+  const float k0 = k[0], k1 = k[1], k2 = k[2], k3 = k[3], k4 = k[4],
+              k5 = k[5], k6 = k[6], k7 = k[7], k8 = k[8];
+  for (int x = 1; x < w - 1; ++x) {
+    float acc = 0;
+    acc += k0 * up[x - 1];
+    acc += k1 * up[x];
+    acc += k2 * up[x + 1];
+    acc += k3 * mid[x - 1];
+    acc += k4 * mid[x];
+    acc += k5 * mid[x + 1];
+    acc += k6 * down[x - 1];
+    acc += k7 * down[x];
+    acc += k8 * down[x + 1];
+    out[x] = acc;
+  }
+}
+
+/// n samples of a line through a plane: d[x] = s[x * step].
+void remap_row(const float* s, std::ptrdiff_t step, std::ptrdiff_t n,
+               float* d) {
+  for (std::ptrdiff_t x = 0; x < n; ++x) d[x] = s[x * step];
+}
+
+/// The row stage of a scale or filter step over a w x h plane: the one
+/// arithmetic both the whole-plane apply and the streamed re-encode run.
+jpeg::RowStage pixel_stage(const Step& s, int w, int h) {
+  jpeg::RowStage st;
+  if (s.kind == Kind::kScale) {
+    st.out_w = s.arg0;
+    st.out_h = s.arg1;
+    auto rows = std::make_shared<const BilinearTaps>(bilinear_taps(h, s.arg1));
+    auto cols = std::make_shared<const BilinearTaps>(bilinear_taps(w, s.arg0));
+    st.reads = [rows](int y) {
+      const auto i = static_cast<std::size_t>(y);
+      return std::pair{rows->a[i], rows->b[i]};
+    };
+    st.row = [rows, cols](const jpeg::RowWindow& in, int y, float* out) {
+      const auto i = static_cast<std::size_t>(y);
+      bilinear_row(in.row(rows->a[i]), in.row(rows->b[i]), rows->t[i], *cols,
+                   out);
+    };
+    return st;
+  }
+  require(s.kind == Kind::kFilter3x3, "not a row-local pixel step");
+  st.out_w = w;
+  st.out_h = h;
+  st.reads = [h](int y) {
+    return std::pair{std::max(y - 1, 0), std::min(y + 1, h - 1)};
+  };
+  st.row = [h, w, k = s.kernel](const jpeg::RowWindow& in, int y, float* out) {
+    filter_row(in.row(std::max(y - 1, 0)), in.row(y),
+               in.row(std::min(y + 1, h - 1)), w, k, out);
+  };
+  return st;
+}
+
+/// `st` over whole planes: each output row written once, from rows of the
+/// full input plane.
+YccImage run_stage(const jpeg::RowStage& st, const YccImage& img) {
+  YccImage out(st.out_w, st.out_h, kUninitialized);
+  const std::size_t n = static_cast<std::size_t>(st.out_h);
+  exec::parallel_for(3 * n, [&](std::size_t job) {
+    const int c = static_cast<int>(job / n);
+    const int y = static_cast<int>(job % n);
+    const Plane<float>& in = img.component(c);
+    jpeg::RowWindow win{in.pixels().data(), in.height(),
+                        static_cast<std::size_t>(in.width())};
+    std::tie(win.first, win.last) = st.reads(y);
+    st.row(win, y, out.component(c).row(y).data());
   });
   return out;
 }
@@ -175,7 +283,7 @@ Plane<float> scale_plane(const Plane<float>& in, int nw, int nh) {
 Plane<float> remap_plane(const Plane<float>& in, const Rect& window,
                          const Dihedral& e) {
   const auto [ow, oh] = e.size(window.w, window.h);
-  Plane<float> out(ow, oh, 0.f);
+  Plane<float> out(ow, oh, kUninitialized);
   const Dihedral inv = e.inverse();
   const auto [x0, y0] = inv.map_point(0, 0, ow, oh);
   const auto [x1, y1] = inv.map_point(1, 0, ow, oh);
@@ -185,34 +293,10 @@ Plane<float> remap_plane(const Plane<float>& in, const Rect& window,
   const float* src = in.pixels().data();
   exec::parallel_for(static_cast<std::size_t>(oh), [&](std::size_t row) {
     const auto oy = static_cast<std::ptrdiff_t>(row);
-    const float* s = src + (window.y + y0 + oy * (y2 - y0)) * stride +
-                     window.x + x0 + oy * (x2 - x0);
-    float* d = out.row(static_cast<int>(row)).data();
-    for (std::ptrdiff_t x = 0; x < ow; ++x) d[x] = s[x * step];
+    remap_row(src + (window.y + y0 + oy * (y2 - y0)) * stride + window.x +
+                  x0 + oy * (x2 - x0),
+              step, ow, out.row(static_cast<int>(row)).data());
   });
-  return out;
-}
-
-Plane<float> convolve_plane(const Plane<float>& in,
-                            const std::array<float, 9>& k) {
-  Plane<float> out(in.width(), in.height(), 0.f);
-  // Reads overlap rows but writes don't: out-of-place convolution.
-  exec::parallel_for_2d(in.height(), in.width(), [&](int y, int x) {
-    float acc = 0;
-    for (int dy = -1; dy <= 1; ++dy)
-      for (int dx = -1; dx <= 1; ++dx)
-        acc += k[static_cast<std::size_t>((dy + 1) * 3 + (dx + 1))] *
-               in.clamped_at(x + dx, y + dy);
-    out.at(x, y) = acc;
-  });
-  return out;
-}
-
-YccImage per_plane(const YccImage& img, auto&& fn) {
-  YccImage out;
-  out.y = fn(img.y);
-  out.cb = fn(img.cb);
-  out.cr = fn(img.cr);
   return out;
 }
 
@@ -249,58 +333,139 @@ Remap fold(std::span<const Step> run, int w, int h, Check&& check) {
 }
 
 /// Folds a run of lossless steps in the pixel domain, where only a crop has
-/// a precondition, and remaps each plane once.
-YccImage remap_run(std::span<const Step> run, const YccImage& img) {
-  const Remap m = fold(run, img.width(), img.height(),
-                       [](const Step& s, int w, int h) {
-                         if (s.kind == Kind::kCropAligned)
-                           require(Rect{0, 0, w, h}.contains(s.rect),
-                                   "crop rect outside image");
-                       });
-  if (!m.moved) return img;
-  return per_plane(img, [&](const Plane<float>& p) {
-    return remap_plane(p, m.window, m.element);
+/// a precondition.
+Remap fold_pixels(std::span<const Step> run, int w, int h) {
+  return fold(run, w, h, [](const Step& s, int pw, int ph) {
+    if (s.kind == Kind::kCropAligned)
+      require(Rect{0, 0, pw, ph}.contains(s.rect), "crop rect outside image");
   });
+}
+
+/// The row stage of a folded run that keeps rows whole — a window, flipped
+/// horizontally or not.
+jpeg::RowStage remap_stage(const Remap& m) {
+  jpeg::RowStage st;
+  st.out_w = m.window.w;
+  st.out_h = m.window.h;
+  const int y0 = m.window.y;
+  st.reads = [y0](int y) { return std::pair{y0 + y, y0 + y}; };
+  const bool flip = m.element.flipped;
+  st.row = [y0, flip, x0 = m.window.x, w = m.window.w](
+               const jpeg::RowWindow& in, int y, float* out) {
+    remap_row(in.row(y0 + y) + x0 + (flip ? w - 1 : 0), flip ? -1 : 1, w,
+              out);
+  };
+  return st;
+}
+
+/// Refuses a chain any of whose intermediate images would exceed
+/// max_decode_pixels(), walking map_size before anything is allocated: a
+/// scale(60000, 60000) of a thumbnail is a bad request, not a 43 GB plane.
+void require_bounded_sizes(std::span<const Step> chain, int w, int h) {
+  for (const Step& s : chain) {
+    std::tie(w, h) = map_size(s, w, h);
+    const std::uint64_t pixels =
+        static_cast<std::uint64_t>(std::max(w, 0)) *
+        static_cast<std::uint64_t>(std::max(h, 0));
+    require(w > 0 && h > 0 && pixels <= jpeg::max_decode_pixels(),
+            "transform step " + s.to_string() + " yields a " +
+                std::to_string(w) + "x" + std::to_string(h) +
+                " image, outside the limit of " +
+                std::to_string(jpeg::max_decode_pixels()) +
+                " pixels (PUPPIES_MAX_PIXELS)");
+  }
+}
+
+/// One non-lossless step over whole planes.
+YccImage apply_pixel_step(const Step& step, const YccImage& img) {
+  if (step.kind == Kind::kRecompress) {
+    // Pixel-domain stand-in for requantization: round trip through the
+    // coefficient domain at the new quality.
+    const jpeg::CoefficientImage c = jpeg::forward_transform(img, step.arg0);
+    return jpeg::inverse_transform(c);
+  }
+  if (step.kind == Kind::kScale || step.kind == Kind::kFilter3x3)
+    return run_stage(pixel_stage(step, img.width(), img.height()), img);
+  throw InvalidArgument("unknown transform step");
+}
+
+/// A folded lossless run over whole planes, one pass per plane.
+YccImage remap_image(const YccImage& img, const Remap& m) {
+  YccImage out;
+  for (int c = 0; c < 3; ++c)
+    out.component(c) = remap_plane(img.component(c), m.window, m.element);
+  return out;
 }
 
 }  // namespace
 
 YccImage apply(const Step& step, const YccImage& img) {
-  if (step.lossless()) return remap_run({&step, 1}, img);
-  switch (step.kind) {
-    case Kind::kScale:
-      return per_plane(img,
-                       [&](const Plane<float>& p) {
-                         return scale_plane(p, step.arg0, step.arg1);
-                       });
-    case Kind::kFilter3x3:
-      return per_plane(img, [&](const Plane<float>& p) {
-        return convolve_plane(p, step.kernel);
-      });
-    case Kind::kRecompress: {
-      // Pixel-domain stand-in for requantization: round trip through the
-      // coefficient domain at the new quality.
-      const jpeg::CoefficientImage c = jpeg::forward_transform(img, step.arg0);
-      return jpeg::inverse_transform(c);
-    }
-    default:
-      break;
-  }
-  throw InvalidArgument("unknown transform step");
+  require_bounded_sizes({&step, 1}, img.width(), img.height());
+  if (!step.lossless()) return apply_pixel_step(step, img);
+  const Remap m = fold_pixels({&step, 1}, img.width(), img.height());
+  return m.moved ? remap_image(img, m) : img;
 }
 
 YccImage apply(const Chain& chain, YccImage img) {
+  require_bounded_sizes(chain, img.width(), img.height());
   for (auto it = chain.begin(); it != chain.end();) {
     if (!it->lossless()) {
-      img = apply(*it++, img);
+      img = apply_pixel_step(*it++, img);
       continue;
     }
     const auto end = std::find_if(
         it, chain.end(), [](const Step& s) { return !s.lossless(); });
-    img = remap_run({it, end}, img);
+    const Remap m = fold_pixels({it, end}, img.width(), img.height());
+    if (m.moved) img = remap_image(img, m);
     it = end;
   }
   return img;
+}
+
+bool streamable(const Chain& chain) {
+  // Each run of rotations/flips must fold to the identity or flip_h: those
+  // keep every output row inside one input row.
+  Dihedral run;
+  for (const Step& s : chain) {
+    if (is_rot_or_flip(s.kind)) {
+      run = run.compose(dihedral(s.kind));
+    } else if (s.kind == Kind::kScale || s.kind == Kind::kFilter3x3) {
+      if (run.quarter_turns != 0) return false;
+      run = Dihedral{};
+    } else if (s.kind == Kind::kRecompress) {
+      return false;
+    }
+  }
+  return run.quarter_turns == 0;
+}
+
+jpeg::CoefficientImage reencode_streamed(const Chain& chain,
+                                         const jpeg::CoefficientImage& coeffs,
+                                         int quality, jpeg::ChromaMode mode,
+                                         const jpeg::ChunkOptions& copt,
+                                         jpeg::ScanIndex* scan,
+                                         jpeg::ChunkStats* stats) {
+  require(streamable(chain), "transform chain does not stream");
+  int w = coeffs.width(), h = coeffs.height();
+  require_bounded_sizes(chain, w, h);
+  std::vector<jpeg::RowStage> stages;
+  for (auto it = chain.begin(); it != chain.end();) {
+    if (!it->lossless()) {
+      stages.push_back(pixel_stage(*it, w, h));
+      std::tie(w, h) = map_size(*it++, w, h);
+      continue;
+    }
+    const auto end = std::find_if(
+        it, chain.end(), [](const Step& s) { return !s.lossless(); });
+    const Remap m = fold_pixels({it, end}, w, h);
+    if (m.window != Rect{0, 0, w, h} || m.element.flipped)
+      stages.push_back(remap_stage(m));
+    w = m.window.w;
+    h = m.window.h;
+    it = end;
+  }
+  return jpeg::reencode_chunked(coeffs, stages, quality, mode, copt, scan,
+                                stats);
 }
 
 jpeg::CoefficientImage apply_lossless(const Step& step,

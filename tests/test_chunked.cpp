@@ -10,6 +10,9 @@
 // and under TSan (the segment writers are shared-state parallel code).
 
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,7 +26,9 @@
 #include "puppies/jpeg/codec.h"
 #include "puppies/metrics/metrics.h"
 #include "puppies/synth/synth.h"
+#include "puppies/transform/transform.h"
 #include "ref_pixel_codec.h"
+#include "ref_pixel_ops.h"
 
 namespace puppies {
 namespace {
@@ -107,6 +112,26 @@ TEST(ChunkedForward, MatchesWholeImageAcrossChunkSizesAndShapes) {
   }
 }
 
+/// The streamed-chain matrix of ClampedReencodeMatchesWholeImagePath: the
+/// pixel-photo kinds, a folded crop + flip_h before a scale, and the empty
+/// chain, over a w x h source.
+std::vector<std::pair<std::string, transform::Chain>> streamed_chains(int w,
+                                                                      int h) {
+  const transform::Step half = transform::scale(w / 2, h / 2);
+  return {
+      {"half", {half}},
+      {"thumb8", {transform::scale(8, std::max(1, 8 * h / w))}},
+      {"thumb40", {transform::scale(40, std::max(8, 40 * h / w))}},
+      {"box_blur", {transform::box_blur()}},
+      {"sharpen", {transform::sharpen()}},
+      {"half+blur", {half, transform::box_blur()}},
+      {"crop+flip_h+scale",
+       {transform::crop_aligned(Rect{8, 8, 64, 40}), transform::flip_h(),
+        transform::scale(51, 29)}},
+      {"empty", {}},
+  };
+}
+
 TEST(ChunkedForward, ClampedReencodeMatchesWholeImagePath) {
   // The serving-side path: a float YCC image with out-of-range samples
   // (what a pixel-domain transform of a perturbed image produces) is
@@ -131,6 +156,137 @@ TEST(ChunkedForward, ClampedReencodeMatchesWholeImagePath) {
         jpeg::forward_transform_clamped_chunked(ycc, 85, mode, copt, &scan);
     ASSERT_EQ(chunked, whole);
     ASSERT_EQ(scan.masks, whole_scan.masks);
+  }
+
+  // The streamed chain: decode -> row stages -> clamp -> encode per band
+  // must hold the bytes of the materialized path (whole-plane inverse,
+  // transform::apply, clamped band encode) for every chain, source and
+  // output chroma, chunk size and thread count. The perturbed ROI makes the
+  // pixel steps leave [0, 255], so the clamp is exercised.
+  ThreadGuard guard;
+  const int w = 97, h = 63;
+  for (jpeg::ChromaMode in_mode :
+       {jpeg::ChromaMode::k444, jpeg::ChromaMode::k420}) {
+    const jpeg::CoefficientImage src = perturbed(
+        jpeg::forward_transform_chunked(img, 90, in_mode),
+        core::Scheme::kCompression);
+    for (const auto& [name, chain] : streamed_chains(w, h)) {
+      ASSERT_TRUE(transform::streamable(chain)) << name;
+      for (jpeg::ChromaMode out_mode :
+           {jpeg::ChromaMode::k444, jpeg::ChromaMode::k420}) {
+        exec::configure(exec::Config{1});
+        jpeg::ScanIndex want_scan;
+        const jpeg::CoefficientImage want =
+            jpeg::forward_transform_clamped_chunked(
+                transform::apply(chain, jpeg::inverse_transform(src)), 70,
+                out_mode, {}, &want_scan);
+        const Bytes want_bytes = jpeg::serialize(want, {}, &want_scan);
+        for (int threads : {1, 2, 8}) {
+          exec::configure(exec::Config{threads});
+          for (int chunk : {1, 2, 5, 1000}) {
+            jpeg::ChunkOptions copt;
+            copt.mcu_rows = chunk;
+            jpeg::ScanIndex scan;
+            const jpeg::CoefficientImage got = transform::reencode_streamed(
+                chain, src, 70, out_mode, copt, &scan);
+            const std::string at =
+                name + " in=" + std::to_string(static_cast<int>(in_mode)) +
+                " out=" + std::to_string(static_cast<int>(out_mode)) +
+                " threads=" + std::to_string(threads) +
+                " chunk=" + std::to_string(chunk);
+            ASSERT_EQ(got, want) << at;
+            ASSERT_EQ(scan.masks, want_scan.masks) << at;
+            ASSERT_EQ(jpeg::serialize(got, {}, &scan), want_bytes) << at;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ChunkedForward, StreamedPathRefusesWhatApplyRefuses) {
+  const jpeg::CoefficientImage src =
+      jpeg::forward_transform_chunked(scene(64, 48), 80);
+  // Not streamable: rotations that transpose, flip_v, recompress.
+  for (const transform::Chain& chain :
+       {transform::Chain{transform::rotate(90), transform::scale(8, 8)},
+        transform::Chain{transform::flip_v()},
+        transform::Chain{transform::scale(32, 24),
+                         transform::recompress(50)}}) {
+    EXPECT_FALSE(transform::streamable(chain));
+    EXPECT_THROW(transform::reencode_streamed(chain, src, 70),
+                 InvalidArgument);
+  }
+  // Runs that fold to the identity or flip_h stream.
+  EXPECT_TRUE(transform::streamable(
+      {transform::rotate(90), transform::rotate(270), transform::box_blur()}));
+  EXPECT_TRUE(transform::streamable(
+      {transform::rotate(180), transform::flip_v(), transform::scale(8, 8)}));
+  // Intermediate sizes and crops are vetted before anything is decoded.
+  EXPECT_THROW(transform::reencode_streamed(
+                   {transform::scale(60000, 60000), transform::scale(8, 8)},
+                   src, 70),
+               InvalidArgument);
+  EXPECT_THROW(transform::reencode_streamed(
+                   {transform::crop_aligned(Rect{32, 0, 64, 16})}, src, 70),
+               InvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Row kernels vs the seed whole-plane pixel steps (ref_pixel_ops.h).
+
+Plane<float> noise_plane(int w, int h, std::uint32_t seed) {
+  Plane<float> p(w, h);
+  for (float& v : p.pixels()) {
+    seed = seed * 1664525u + 1013904223u;
+    v = static_cast<float>(seed >> 8) / static_cast<float>(1u << 24) * 400.f -
+        72.f;  // [-72, 328): out of range both ways
+  }
+  return p;
+}
+
+bool same_bits(const Plane<float>& a, const Plane<float>& b) {
+  return a.width() == b.width() && a.height() == b.height() &&
+         std::memcmp(a.pixels().data(), b.pixels().data(),
+                     a.pixels().size() * sizeof(float)) == 0;
+}
+
+TEST(RowKernels, MatchSeedPixelOpsBitForBit) {
+  ThreadGuard guard;
+  const std::vector<std::pair<int, int>> sizes = {
+      {1, 1}, {1, 9}, {9, 1}, {1, 40}, {40, 1}, {2, 3}, {37, 29}, {160, 7}};
+  std::uint32_t seed = 1;
+  for (const auto& [w, h] : sizes) {
+    YccImage img;
+    for (int c = 0; c < 3; ++c) img.component(c) = noise_plane(w, h, ++seed);
+    std::vector<std::pair<int, int>> targets = {
+        {w * 3 / 2 + 1, h * 5 / 3 + 1},                      // non-integer up
+        {std::max(1, w * 2 / 5), std::max(1, h * 3 / 7)},    // non-integer down
+        {std::max(1, w / 2), std::max(1, h / 2)},
+        {8, std::max(1, 8 * h / std::max(w, 1))},            // 8-px thumbnail
+        {std::max(1, 8 * w / std::max(h, 1)), 8},
+        {1, 1}};
+    for (int threads : {1, 8}) {
+      exec::configure(exec::Config{threads});
+      for (const auto& [nw, nh] : targets) {
+        const YccImage got = transform::apply(transform::scale(nw, nh), img);
+        for (int c = 0; c < 3; ++c)
+          ASSERT_TRUE(same_bits(got.component(c),
+                                ref::scale_plane(img.component(c), nw, nh)))
+              << w << "x" << h << " -> " << nw << "x" << nh;
+      }
+      for (const transform::Step& f :
+           {transform::box_blur(), transform::sharpen(),
+            transform::filter3x3({0.5f, -1.25f, 0.f, 2.f, 1e-3f, -0.75f, 3.f,
+                                  0.f, -2.5f})}) {
+        const YccImage got = transform::apply(f, img);
+        for (int c = 0; c < 3; ++c)
+          ASSERT_TRUE(same_bits(got.component(c),
+                                ref::convolve_plane(img.component(c),
+                                                    f.kernel)))
+              << w << "x" << h << " filter";
+      }
+    }
   }
 }
 
@@ -294,6 +450,50 @@ TEST(BoundedMemory, ScratchIsIndependentOfImageHeight) {
       budget += 2 * static_cast<std::size_t>(32) * (band_rows / 2) *
                 sizeof(float);
     EXPECT_LE(tall_stats.peak_chunk_bytes, budget);
+  }
+
+  // The streamed re-encode: every row window is sized by width and band,
+  // so the footprint is the same for a short and a tall source, and for a
+  // 2x and a 10x vertical downscale to the same width. A 10x downscale
+  // runs its scale stage in sub-bands instead of growing the window.
+  for (jpeg::ChromaMode mode :
+       {jpeg::ChromaMode::k444, jpeg::ChromaMode::k420}) {
+    const jpeg::CoefficientImage short_src =
+        jpeg::forward_transform_chunked(test_image(64, 640), 80, mode);
+    const jpeg::CoefficientImage tall_src =
+        jpeg::forward_transform_chunked(test_image(64, 2560), 80, mode);
+    const auto peak = [&](const jpeg::CoefficientImage& src,
+                          const transform::Chain& chain) {
+      jpeg::ChunkStats stats;
+      transform::reencode_streamed(chain, src, 70, mode, copt, nullptr,
+                                   &stats);
+      return stats.peak_chunk_bytes;
+    };
+    const auto tenth = [](const jpeg::CoefficientImage& src) {
+      return transform::scale(32, src.height() / 10);
+    };
+    const auto half = [](const jpeg::CoefficientImage& src) {
+      return transform::scale(32, src.height() / 2);
+    };
+    for (const auto& make :
+         {std::function<transform::Chain(const jpeg::CoefficientImage&)>(
+              [](const jpeg::CoefficientImage&) { return transform::Chain{}; }),
+          std::function<transform::Chain(const jpeg::CoefficientImage&)>(
+              [](const jpeg::CoefficientImage&) {
+                return transform::Chain{transform::box_blur()};
+              }),
+          std::function<transform::Chain(const jpeg::CoefficientImage&)>(
+              [&](const jpeg::CoefficientImage& src) {
+                return transform::Chain{tenth(src), transform::sharpen()};
+              })}) {
+      const std::size_t short_peak = peak(short_src, make(short_src));
+      EXPECT_EQ(peak(tall_src, make(tall_src)), short_peak);
+      // Far below one full-resolution float YCbCr image of the tall source.
+      EXPECT_LT(short_peak, static_cast<std::size_t>(64) * 2560 * 3 *
+                                sizeof(float) / 8);
+    }
+    EXPECT_EQ(peak(tall_src, {tenth(tall_src)}),
+              peak(short_src, {half(short_src)}));
   }
 }
 

@@ -338,6 +338,15 @@ TEST(Loopback, ErrorsMapToStatuses) {
                                     {bad_scale}}))
                 .status,
             Status::kBadRequest);
+  // An intermediate image over the decode pixel limit (3.6 G pixels, 43 GB
+  // of float planes) is refused from the chain, before any allocation.
+  EXPECT_EQ(client
+                .call(Op::kApply,
+                      encode_apply({id, DeliveryMode::kClampedReencode, 80,
+                                    {transform::scale(60000, 60000),
+                                     transform::scale(32, 32)}}))
+                .status,
+            Status::kBadRequest);
   // The server keeps serving: a valid apply and download still work.
   client.apply(id, {transform::rotate(90)}, DeliveryMode::kCoefficients, 80);
   EXPECT_EQ(jpeg::parse(client.download(id).jfif).width(), 64);

@@ -2,7 +2,9 @@
 
 #include "puppies/core/pipeline.h"
 #include "puppies/image/metrics.h"
+#include "puppies/jpeg/chunk.h"
 #include "puppies/jpeg/codec.h"
+#include "puppies/metrics/metrics.h"
 #include "puppies/psp/psp.h"
 #include "puppies/synth/synth.h"
 
@@ -148,6 +150,53 @@ TEST(Psp, CropNearIntMaxIsRefusedInEveryDeliveryMode) {
     EXPECT_THROW(psp.apply_transform(id, chain, mode, 80), InvalidArgument);
   // The entry still serves its upload.
   EXPECT_EQ(jpeg::parse(psp.download(id).jfif), s.shared.perturbed);
+}
+
+TEST(Psp, OversizedIntermediateIsRefusedBeforeAllocation) {
+  // scale(60000, 60000) of a 128x96 upload is a 3.6 G-pixel image — 43 GB of
+  // float planes — so it must be refused from the chain alone, whether it
+  // is the last step or an intermediate one, on the streamed and the
+  // materializing path alike.
+  Scenario s;
+  PspService psp;
+  const std::string id = psp.upload(jpeg::serialize(s.shared.perturbed),
+                                    s.shared.params.serialize());
+  for (const transform::Chain& chain :
+       {transform::Chain{transform::scale(60000, 60000)},
+        transform::Chain{transform::scale(60000, 60000),
+                         transform::scale(64, 48)}})
+    for (const DeliveryMode mode :
+         {DeliveryMode::kClampedReencode, DeliveryMode::kLinearFloat})
+      EXPECT_THROW(psp.apply_transform(id, chain, mode, 80), InvalidArgument);
+  EXPECT_EQ(jpeg::parse(psp.download(id).jfif), s.shared.perturbed);
+}
+
+TEST(Psp, PixelStreamedCounterTracksStreamedApplies) {
+  Scenario s;
+  PspService psp;
+  const std::string id = psp.upload(jpeg::serialize(s.shared.perturbed),
+                                    s.shared.params.serialize());
+  const auto streamed = [] {
+    return metrics::counter("psp.codec.pixel_streamed").value();
+  };
+  const std::uint64_t before = streamed();
+  const transform::Chain chain{transform::scale(64, 48)};
+  psp.apply_transform(id, chain, DeliveryMode::kClampedReencode, 80);
+  EXPECT_EQ(streamed(), before + 1);
+  // The streamed bytes are the materializing path's.
+  jpeg::EncodeOptions eo;
+  eo.huffman = PspConfig{}.huffman;
+  eo.restart_interval = PspConfig{}.restart_interval;
+  jpeg::ScanIndex scan;
+  const jpeg::CoefficientImage want = jpeg::forward_transform_clamped_chunked(
+      transform::apply(chain, jpeg::inverse_transform(s.shared.perturbed)), 80,
+      eo.chroma, {}, &scan);
+  EXPECT_EQ(psp.download(id).jfif, jpeg::serialize(want, eo, &scan));
+  // A transposing rotation materializes the planes.
+  psp.apply_transform(id, {transform::rotate(90), transform::scale(48, 64)},
+                      DeliveryMode::kClampedReencode, 80);
+  EXPECT_EQ(streamed(), before + 1);
+  EXPECT_EQ(jpeg::parse(psp.download(id).jfif).width(), 48);
 }
 
 TEST(Psp, CoefficientsModeRequiresLosslessChain) {
