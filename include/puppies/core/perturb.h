@@ -75,34 +75,23 @@ struct PerturbOutcome {
 /// Algorithms 1/2 generalized over all four schemes). All components are
 /// perturbed with the same matrix material, each independently. With a
 /// multi-pair MatrixSet, block k uses pair (k/64) mod count (Section IV-D).
-///
-/// A non-null `dirty` accumulates the MCUs this ROI touches (the input of
-/// jpeg::serialize_delta): the set is (re)sized to the image's MCU grid on
-/// first use and marked serially — repeated calls over several ROIs OR their
-/// marks together. The ROI is MCU-aligned by precondition, so the marked
-/// rect is exact, never an over-approximation.
 PerturbOutcome perturb_roi(jpeg::CoefficientImage& img, const Rect& roi,
                            const MatrixSet& keys, Scheme scheme,
-                           const PerturbParams& params,
-                           jpeg::DirtyMcuSet* dirty = nullptr);
+                           const PerturbParams& params);
 PerturbOutcome perturb_roi(jpeg::CoefficientImage& img, const Rect& roi,
                            const MatrixPair& keys, Scheme scheme,
-                           const PerturbParams& params,
-                           jpeg::DirtyMcuSet* dirty = nullptr);
+                           const PerturbParams& params);
 
 /// Exact inverse of perturb_roi (receiver side, scenario 1 / Lemma III.1).
-/// `zind` is required for Scheme::kZero and ignored otherwise. `dirty`
-/// reports touched MCUs exactly as in perturb_roi.
+/// `zind` is required for Scheme::kZero and ignored otherwise.
 void recover_roi(jpeg::CoefficientImage& img, const Rect& roi,
                  const MatrixSet& keys, Scheme scheme,
                  const PerturbParams& params,
-                 const PositionSet& zind = {},
-                 jpeg::DirtyMcuSet* dirty = nullptr);
+                 const PositionSet& zind = {});
 void recover_roi(jpeg::CoefficientImage& img, const Rect& roi,
                  const MatrixPair& keys, Scheme scheme,
                  const PerturbParams& params,
-                 const PositionSet& zind = {},
-                 jpeg::DirtyMcuSet* dirty = nullptr);
+                 const PositionSet& zind = {});
 
 /// Description of one perturbed ROI for delta reconstruction.
 struct DeltaRoi {

@@ -124,29 +124,13 @@ CoefficientImage transcode_chunked(const CoefficientImage& coeffs, int quality,
                                    ChunkStats* stats = nullptr);
 
 /// transcode_chunked + serialize: recompress a parsed stream at a new
-/// quality with bounded pixel memory.
+/// quality with bounded pixel memory. `encode_stats` receives serialize()'s
+/// entropy accounting.
 Bytes recompress_chunked(const CoefficientImage& coeffs, int quality,
                          const EncodeOptions& opts = {},
                          const ChunkOptions& copt = {},
-                         ChunkStats* stats = nullptr);
-
-/// Delta-serving recompress (DESIGN.md §15): transcode_chunked at `quality`,
-/// then serialize through the delta path, copying the entropy bytes of every
-/// restart segment the round trip left bit-identical to `reference` (the
-/// coefficients `src`'s entropy encodes). At the source's own quality most
-/// blocks survive decode→clamp→re-encode exactly — only clamped ROIs and
-/// their ringing change — so a lightly-perturbed image re-encodes a few
-/// segments instead of all of them. The diff only runs when the transcode
-/// preserved geometry and quant tables; otherwise (and on any
-/// serialize_delta precondition miss) the result falls back to the full
-/// path. Output bytes equal recompress_chunked's in every case.
-Bytes recompress_delta_chunked(const CoefficientImage& reference,
-                               const ScanSource& src, int quality,
-                               const EncodeOptions& opts = {},
-                               const ChunkOptions& copt = {},
-                               ChunkStats* stats = nullptr,
-                               EncodeStats* encode_stats = nullptr,
-                               DeltaStats* delta_stats = nullptr);
+                         ChunkStats* stats = nullptr,
+                         EncodeStats* encode_stats = nullptr);
 
 /// Process-wide default for ChunkOptions::mcu_rows == 0. Resolution order:
 /// set_default_chunk_mcu_rows() > PUPPIES_CHUNK_ROWS env var > 16.

@@ -21,8 +21,7 @@ struct HuffmanSpec {
     return n;
   }
 
-  /// Structural equality — what serialize_delta's "same Huffman tables"
-  /// precondition compares against the Annex K standard specs.
+  /// Structural equality (same code lengths, same symbol order).
   bool operator==(const HuffmanSpec&) const = default;
 };
 

@@ -68,12 +68,10 @@ struct PspConfig {
   /// digests survive any setting.
   int chunk_mcu_rows = 0;
   /// Restart interval (MCUs) for every serving-side encode. Restart markers
-  /// make served scans segment-parallel decodable AND delta-servable: with
-  /// huffman == kStandard, coefficient-domain downloads and identity-chain
-  /// recompress copy every untouched segment's entropy bytes verbatim from
-  /// the retained upload scan (jpeg::serialize_delta, DESIGN.md §15).
-  /// Changes served bytes (DRI + RSTn), so it IS part of the transform
-  /// cache key. 0 disables restart markers (the pre-delta byte layout).
+  /// make served scans segment-parallel decodable (DESIGN.md §13) and bound
+  /// error propagation in damaged streams. Changes served bytes (DRI +
+  /// RSTn), so it IS part of the transform cache key. 0 disables restart
+  /// markers.
   int restart_interval = 64;
   /// kReplicated only: number of disk shards under `data_dir` and the
   /// replication/repair/GC knobs (DESIGN.md §14).
@@ -177,12 +175,10 @@ class PspService {
     /// Parsed once at upload; transforms start here instead of re-parsing
     /// the byte stream on every apply_transform call.
     jpeg::CoefficientImage parsed;
-    /// The upload scan's entropy bytes + restart-segment table, retained by
-    /// the same parse. When the upload carries restart markers and standard
-    /// tables, serving-side encodes splice clean segments from here instead
-    /// of re-entropy-coding them (jpeg::serialize_delta); otherwise
-    /// !valid() and every encode takes the full path.
-    jpeg::ScanSource scan_src;
+    /// The upload's own restart interval (its DRI value, 0 = none), so a
+    /// degraded-mode heal re-encodes the upload's layout, not the serving
+    /// config's.
+    int restart_interval = 0;
     transform::Chain chain;
     DeliveryMode mode = DeliveryMode::kCoefficients;
     store::TransformCache::ResultPtr transformed;  ///< null until transformed

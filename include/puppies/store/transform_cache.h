@@ -36,7 +36,7 @@ struct TransformResult {
 /// configurations. `restart_interval` is the serving-side restart cadence
 /// (PspConfig::restart_interval): DRI + RSTn markers change the served
 /// bytes, so two intervals never share an entry; the default 0 keys
-/// restart-free encodes exactly as pre-delta builds did. Both knobs live
+/// restart-free encodes exactly as builds without the knob did. Both knobs live
 /// only in this key; the chain wire format (transform::write_chain) is
 /// unchanged, so previously serialized chains still parse.
 Digest transform_cache_key(

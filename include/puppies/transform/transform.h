@@ -6,6 +6,7 @@
 
 #include "puppies/common/bytes.h"
 #include "puppies/image/image.h"
+#include "puppies/jpeg/chunk.h"
 #include "puppies/jpeg/codec.h"
 #include "puppies/jpeg/coeffs.h"
 
@@ -104,16 +105,9 @@ jpeg::CoefficientImage apply_lossless(const Step& step,
 /// Applies a chain of lossless steps in the coefficient domain as one
 /// jpeg::remap pass: the chain folds into a (window, D4 element) pair. Each
 /// step is vetted while folding, before anything is allocated, and refused
-/// (InvalidArgument) as a step-by-step apply would. A non-null `dirty`
-/// reports what the chain did to the MCU grid, feeding
-/// jpeg::serialize_delta: identity steps leave the set untouched (sized
-/// clean on first use, so an all-identity chain copies every segment); any
-/// other lossless step permutes blocks or changes geometry, so the set is
-/// reset to the OUTPUT grid and fully marked — the delta path then falls
-/// back or re-encodes everything, the correct cost for such chains.
+/// (InvalidArgument) as a step-by-step apply would.
 jpeg::CoefficientImage apply_lossless(const Chain& chain,
-                                      const jpeg::CoefficientImage& img,
-                                      jpeg::DirtyMcuSet* dirty = nullptr);
+                                      const jpeg::CoefficientImage& img);
 
 /// Maps a pixel rect through a step/chain: where an ROI lands after the PSP
 /// transformation (image size `w` x `h` before the step).
@@ -123,9 +117,16 @@ Rect map_rect(const Chain& chain, Rect r, int w, int h);
 std::pair<int, int> map_size(const Step& step, int w, int h);
 std::pair<int, int> map_size(const Chain& chain, int w, int h);
 
+/// The longest chain read_chain accepts, both as sent and in canonical
+/// form. Each step can be a full-image pass, so a request's work is bounded
+/// by this count, not by its payload.
+inline constexpr std::size_t kMaxChainSteps = 64;
+
 /// Chain (de)serialization for the PSP's public metadata. read_chain
-/// applies the factories' parameter checks (scale size, crop alignment and
-/// extent, recompress quality) and throws ParseError on a bad step.
+/// refuses a chain whose step count, or whose canonicalize() length, is
+/// above kMaxChainSteps, applies the factories' parameter checks (scale
+/// size, crop alignment and extent, recompress quality), and throws
+/// ParseError on any of these.
 void write_chain(ByteWriter& out, const Chain& chain);
 Chain read_chain(ByteReader& in);
 
@@ -141,4 +142,36 @@ Chain read_chain(ByteReader& in);
 /// Scales, crops, filters, and recompressions are never merged.
 Chain canonicalize(const Chain& chain);
 
+}  // namespace puppies::transform
+
+// ---------------------------------------------------------------------------
+// Forwarders for servebench/src/replay.cpp only. The ROI-delta serving path
+// was removed (DESIGN.md §15), but replay.cpp still names its entry points;
+// each forwarder returns exactly what the one remaining encode path returns.
+// Delete this block with the benchmark change that re-sources servebench's
+// per-layer metrics from server traces (ROADMAP.md, in-server tracing).
+namespace puppies::jpeg {
+struct ScanSource {};
+struct DirtyMcuSet {};
+inline CoefficientImage parse(std::span<const std::uint8_t> data,
+                              ParseStats* stats, ScanSource*) {
+  return parse(data, stats);
+}
+inline Bytes serialize_delta(const CoefficientImage& c, const EncodeOptions& o,
+                             const ScanSource&, const DirtyMcuSet&) {
+  return serialize(c, o);
+}
+inline Bytes recompress_delta_chunked(const CoefficientImage& r,
+                                      const ScanSource&, int q,
+                                      const EncodeOptions& o,
+                                      const ChunkOptions& co) {
+  return recompress_chunked(r, q, o, co);
+}
+}  // namespace puppies::jpeg
+namespace puppies::transform {
+inline jpeg::CoefficientImage apply_lossless(const Chain& chain,
+                                             const jpeg::CoefficientImage& img,
+                                             jpeg::DirtyMcuSet*) {
+  return apply_lossless(chain, img);
+}
 }  // namespace puppies::transform

@@ -34,11 +34,6 @@ PUPPIES_SIMD=scalar ./build/tests/tests_chunked
 # native one.
 PUPPIES_SIMD=scalar ./build/tests/tests_decode
 
-# The ROI-delta differential suite on the forced-scalar tier: delta-vs-full
-# byte identity is claimed per SIMD tier (the fuzz matrix walks the tiers
-# this host supports; the forced-scalar run pins the override path too).
-PUPPIES_SIMD=scalar ./build/tests/tests_delta
-
 # The serving benchmark's own checks: its unit tests, and that
 # BENCHMARK.json still equals the spec servebench/run.py declares.
 python3 servebench/run.py --self-test
@@ -94,15 +89,16 @@ BENCH_STORE_DIR=$(mktemp -d)
     --blobs 24 --blob-kb 32 --gets 400 )
 rm -rf "$BENCH_STORE_DIR"
 
-# Delta re-encode acceptance gate: the codec bench perturbs a 10%-area ROI
-# on a canonical restart stream and serializes it both ways; the emitted
-# BENCH_codec.json must report the delta output byte-identical to the full
-# serial re-encode, or the delta path is corrupting served images.
+# Codec bench identity gates: the emitted BENCH_codec.json must report the
+# restart-segment parallel encode byte-identical at 1 and N threads, and the
+# segment-parallel decode coefficient-identical to the serial decoder.
 BENCH_DIR=$(mktemp -d)
 ( cd "$BENCH_DIR" && "$REPO_ROOT/build/bench/codec_throughput" \
     --benchmark_filter='^$' )
-grep -q '"delta_byte_identical": true' "$BENCH_DIR/BENCH_codec.json" \
-  || { echo "BENCH_codec.json: delta output diverged from full re-encode"; exit 1; }
+grep -q '"chunked_byte_identical": true' "$BENCH_DIR/BENCH_codec.json" \
+  || { echo "BENCH_codec.json: parallel encode diverged across thread counts"; exit 1; }
+grep -q '"decode_byte_identical": true' "$BENCH_DIR/BENCH_codec.json" \
+  || { echo "BENCH_codec.json: parallel decode diverged from the serial decoder"; exit 1; }
 rm -rf "$BENCH_DIR"
 
 # tests_chunked rides under TSan alongside the store suite: the parallel
@@ -113,18 +109,15 @@ rm -rf "$BENCH_DIR"
 # hand-off are the newest shared-state code in the repo, and the suite
 # hammers them from eight client threads on purpose. tests_decode joins
 # too: the segment-parallel entropy decoder's per-segment readers and the
-# fallback flag are shared-state code on the same pool. tests_delta joins
-# for the same reason: the partial-index fill and dirty-segment writers
-# run on the pool against shared masks and segment slots. tests_jpeg joins
+# fallback flag are shared-state code on the same pool. tests_jpeg joins
 # because the lossless block remap writes its output block rows from the
 # pool, and its differential test runs it at 1, 2 and 8 threads.
 cmake -B build-tsan -S . -DPUPPIES_SANITIZE=thread
-cmake --build build-tsan -j"$(nproc)" --target tests_store tests_chunked tests_net tests_decode tests_delta tests_jpeg
+cmake --build build-tsan -j"$(nproc)" --target tests_store tests_chunked tests_net tests_decode tests_jpeg
 ./build-tsan/tests/tests_store
 ./build-tsan/tests/tests_chunked
 ./build-tsan/tests/tests_net
 ./build-tsan/tests/tests_decode
-./build-tsan/tests/tests_delta
 ./build-tsan/tests/tests_jpeg
 
 # Mutation fuzzing of the JPEG parser under the memory sanitizers: ten
@@ -147,4 +140,4 @@ cmake --build build-ubsan -j"$(nproc)" --target tests_fuzz tests_chunked
 ./build-ubsan/tests/tests_fuzz
 ./build-ubsan/tests/tests_chunked
 
-echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode/tests_delta + servebench self-test + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec delta byte-identity gate + tests_store/tests_chunked/tests_net/tests_decode/tests_delta/tests_jpeg under TSan + tests_fuzz/tests_chunked under ASan/UBSan)"
+echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode + servebench self-test + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec chunked/decode identity gates + tests_store/tests_chunked/tests_net/tests_decode/tests_jpeg under TSan + tests_fuzz/tests_chunked under ASan/UBSan)"

@@ -109,43 +109,25 @@ bool dc_perturbed(const PerturbParams&, Scheme) {
   return true;  // DC is perturbed in all schemes and at all privacy levels
 }
 
-/// Marks the MCU rect an MCU-aligned ROI covers. Serial on purpose: the
-/// bitset words are shared across MCU rows, and one rect is cheap next to
-/// the per-coefficient work the parallel loops do.
-void mark_roi_mcus(const jpeg::CoefficientImage& img, const Rect& roi,
-                   jpeg::DirtyMcuSet* dirty) {
-  if (!dirty) return;
-  if (dirty->total != img.mcu_count()) dirty->reset(img.mcu_count());
-  const int mcu = img.mcu_pixels();
-  const int cols = img.mcu_cols();
-  for (int my = roi.y / mcu; my < (roi.y + roi.h) / mcu; ++my)
-    for (int mx = roi.x / mcu; mx < (roi.x + roi.w) / mcu; ++mx)
-      dirty->mark(my * cols + mx);
-}
-
 }  // namespace
 
 PerturbOutcome perturb_roi(jpeg::CoefficientImage& img, const Rect& roi,
                            const MatrixPair& keys, Scheme scheme,
-                           const PerturbParams& params,
-                           jpeg::DirtyMcuSet* dirty) {
-  return perturb_roi(img, roi, MatrixSet{{keys}}, scheme, params, dirty);
+                           const PerturbParams& params) {
+  return perturb_roi(img, roi, MatrixSet{{keys}}, scheme, params);
 }
 
 void recover_roi(jpeg::CoefficientImage& img, const Rect& roi,
                  const MatrixPair& keys, Scheme scheme,
-                 const PerturbParams& params, const PositionSet& zind,
-                 jpeg::DirtyMcuSet* dirty) {
-  recover_roi(img, roi, MatrixSet{{keys}}, scheme, params, zind, dirty);
+                 const PerturbParams& params, const PositionSet& zind) {
+  recover_roi(img, roi, MatrixSet{{keys}}, scheme, params, zind);
 }
 
 PerturbOutcome perturb_roi(jpeg::CoefficientImage& img, const Rect& roi,
                            const MatrixSet& keys, Scheme scheme,
-                           const PerturbParams& params,
-                           jpeg::DirtyMcuSet* dirty) {
+                           const PerturbParams& params) {
   require(!keys.pairs.empty(), "matrix set must not be empty");
   const std::vector<Rect> walks = component_walks(img, roi);
-  mark_roi_mcus(img, roi, dirty);
   const RangeMatrix q = make_range_matrix(params);
   PerturbOutcome outcome;
 
@@ -204,11 +186,9 @@ PerturbOutcome perturb_roi(jpeg::CoefficientImage& img, const Rect& roi,
 
 void recover_roi(jpeg::CoefficientImage& img, const Rect& roi,
                  const MatrixSet& keys, Scheme scheme,
-                 const PerturbParams& params, const PositionSet& zind,
-                 jpeg::DirtyMcuSet* dirty) {
+                 const PerturbParams& params, const PositionSet& zind) {
   require(!keys.pairs.empty(), "matrix set must not be empty");
   const std::vector<Rect> walks = component_walks(img, roi);
-  mark_roi_mcus(img, roi, dirty);
   const RangeMatrix q = make_range_matrix(params);
   const std::unordered_set<std::uint64_t> zeros = zind.lookup();
 

@@ -759,40 +759,11 @@ CoefficientImage transcode_chunked(const CoefficientImage& coeffs, int quality,
 
 Bytes recompress_chunked(const CoefficientImage& coeffs, int quality,
                          const EncodeOptions& opts, const ChunkOptions& copt,
-                         ChunkStats* stats) {
+                         ChunkStats* stats, EncodeStats* encode_stats) {
   ScanIndex scan;
   const CoefficientImage out =
       transcode_chunked(coeffs, quality, opts.chroma, copt, &scan, stats);
-  return serialize(out, opts, &scan);
-}
-
-Bytes recompress_delta_chunked(const CoefficientImage& reference,
-                               const ScanSource& src, int quality,
-                               const EncodeOptions& opts,
-                               const ChunkOptions& copt, ChunkStats* stats,
-                               EncodeStats* encode_stats,
-                               DeltaStats* delta_stats) {
-  ScanIndex scan;
-  const CoefficientImage out =
-      transcode_chunked(reference, quality, opts.chroma, copt, &scan, stats);
-  // The diff against the reference is only sound when the transcode kept
-  // its geometry and quant tables (stored int16 values are then directly
-  // comparable); anything else marks every MCU and lets serialize_delta's
-  // own preconditions decide between delta and fallback.
-  DirtyMcuSet dirty;
-  if (out.width() == reference.width() &&
-      out.height() == reference.height() &&
-      out.component_count() == reference.component_count() &&
-      out.chroma_mode() == reference.chroma_mode() &&
-      out.qtable(0) == reference.qtable(0) &&
-      out.qtable(1) == reference.qtable(1)) {
-    diff_dirty_mcus(out, reference, dirty);
-  } else {
-    dirty.reset(out.mcu_count());
-    dirty.mark_all();
-  }
-  return serialize_delta(out, opts, src, dirty, &scan, encode_stats,
-                         delta_stats);
+  return serialize(out, opts, &scan, encode_stats);
 }
 
 int default_chunk_mcu_rows() {

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdlib>
-#include <cstring>
 
 #include "puppies/exec/parallel_for.h"
 #include "puppies/fault/fault.h"
@@ -276,9 +275,7 @@ void write_sos(ByteWriter& w, const CoefficientImage& img) {
 }
 
 /// Everything before the entropy-coded data: SOI through SOS, DRI included
-/// when a restart interval is in force. Shared verbatim by serialize() and
-/// serialize_delta(), so a delta stream's headers cannot drift from the full
-/// path's.
+/// when a restart interval is in force.
 void write_headers(ByteWriter& w, const CoefficientImage& coeffs,
                    const HuffmanSpec dc_spec[2], const HuffmanSpec ac_spec[2],
                    int restart_interval) {
@@ -300,15 +297,6 @@ void write_headers(ByteWriter& w, const CoefficientImage& coeffs,
     w.u16(static_cast<std::uint16_t>(restart_interval));
   }
   write_sos(w, coeffs);
-}
-
-/// The standard DC/AC spec serialize() assigns component `c` in
-/// HuffmanMode::kStandard (luma tables for component 0, chroma otherwise).
-const HuffmanSpec& std_spec_for_component(int table_class, int c) {
-  if (table_class == 0)
-    return huff_table_id_for_component(c) == 0 ? std_dc_luma()
-                                               : std_dc_chroma();
-  return huff_table_id_for_component(c) == 0 ? std_ac_luma() : std_ac_chroma();
 }
 
 // --------------------------------------------------------------------------
@@ -511,188 +499,6 @@ Bytes serialize(const CoefficientImage& coeffs, const EncodeOptions& opts,
   return out;
 }
 
-Bytes serialize_delta(const CoefficientImage& coeffs,
-                      const EncodeOptions& opts, const ScanSource& src,
-                      const DirtyMcuSet& dirty, const ScanIndex* scan,
-                      EncodeStats* stats, DeltaStats* delta_stats) {
-  if (delta_stats) *delta_stats = DeltaStats{};
-  const int R = opts.restart_interval;
-  const int total_mcus = total_mcu_count(coeffs);
-  const int nseg = R > 0 ? (total_mcus + R - 1) / R : 1;
-  // Preconditions of the byte-identity contract: standard tables on both
-  // sides, the same restart cadence, the same geometry, and a dirty set
-  // sized to this MCU grid. Optimized-Huffman output depends on the global
-  // symbol histogram (one dirty MCU retables every segment), so it can
-  // never delta.
-  bool eligible =
-      delta_reencode_enabled() && opts.huffman == HuffmanMode::kStandard &&
-      R > 0 && src.restart_interval == R && src.standard_tables &&
-      src.width == coeffs.width() && src.height == coeffs.height() &&
-      src.components == coeffs.component_count() &&
-      src.chroma == coeffs.chroma_mode() &&
-      static_cast<int>(src.segments.size()) == nseg &&
-      dirty.total == total_mcus &&
-      (coeffs.component_count() == 1 || coeffs.component_count() == 3);
-  if (eligible)  // malformed segment table = not a usable source
-    for (const ScanSegment& r : src.segments)
-      if (r.begin > r.end || r.end > src.entropy.size()) {
-        eligible = false;
-        break;
-      }
-  if (!eligible) {
-    if (delta_stats) delta_stats->fallback = true;
-    return serialize(coeffs, opts, scan, stats);
-  }
-
-  // Segment s covers MCUs [s*R, min((s+1)*R, total)); it re-encodes iff the
-  // dirty set intersects that range.
-  std::vector<char> seg_dirty(static_cast<std::size_t>(nseg), 0);
-  std::vector<int> dirty_segs;
-  for (int s = 0; s < nseg; ++s) {
-    const int m0 = s * R;
-    if (dirty.any_in(m0, std::min(total_mcus, m0 + R))) {
-      seg_dirty[static_cast<std::size_t>(s)] = 1;
-      dirty_segs.push_back(s);
-    }
-  }
-
-  if (stats) *stats = EncodeStats{};  // kStandard: saved_bytes stays 0
-
-  const HuffmanSpec dc_spec[2] = {std_dc_luma(), std_dc_chroma()};
-  const HuffmanSpec ac_spec[2] = {std_ac_luma(), std_ac_chroma()};
-  ByteWriter w;
-  write_headers(w, coeffs, dc_spec, ac_spec, R);
-  Bytes out = w.take();
-  const std::size_t entropy_start = out.size();
-
-  // Nonzero masks: trust a matching supplied index, else build a PARTIAL
-  // one covering only the dirty segments' blocks. Skipping the mask scan of
-  // the clean blocks is most of the delta win on lightly-touched images.
-  // Disjoint MCU ranges own disjoint blocks, so the parallel fill is
-  // race-free.
-  ScanIndex partial;
-  const ScanIndex* use_scan = scan && scan->matches(coeffs) ? scan : nullptr;
-  if (!use_scan && !dirty_segs.empty()) {
-    partial.masks.resize(static_cast<std::size_t>(coeffs.component_count()));
-    for (int c = 0; c < coeffs.component_count(); ++c)
-      partial.masks[static_cast<std::size_t>(c)].assign(
-          coeffs.component(c).blocks.size(), 0);
-    const kernels::KernelTable& k = kernels::active();
-    exec::parallel_for(dirty_segs.size(), [&](std::size_t i) {
-      const int s = dirty_segs[i];
-      const int m0 = s * R;
-      for_each_block_in_mcu_range(
-          coeffs, m0, std::min(total_mcus, m0 + R),
-          [&](int c, int bx, int by) {
-            const Component& comp = coeffs.component(c);
-            partial.masks[static_cast<std::size_t>(c)]
-                         [static_cast<std::size_t>(by) * comp.blocks_w +
-                          static_cast<std::size_t>(bx)] =
-                k.nonzero_mask(comp.block(bx, by).data());
-          });
-    });
-    use_scan = &partial;
-  }
-
-  // Dirty segments entropy-code on the pool exactly like serialize()'s
-  // parallel writers (fresh DC predictors, byte-aligned flush); clean
-  // segments are verbatim copies of the source bytes.
-  std::vector<Bytes> seg(static_cast<std::size_t>(nseg));
-  {
-    const HuffmanEncoder dc_enc[2] = {HuffmanEncoder(dc_spec[0]),
-                                      HuffmanEncoder(dc_spec[1])};
-    const HuffmanEncoder ac_enc[2] = {HuffmanEncoder(ac_spec[0]),
-                                      HuffmanEncoder(ac_spec[1])};
-    exec::parallel_for(dirty_segs.size(), [&](std::size_t i) {
-      const int s = dirty_segs[i];
-      const int m0 = s * R;
-      auto& b = seg[static_cast<std::size_t>(s)];
-      BitWriter bits(b);
-      encode_segment(coeffs, *use_scan, m0, std::min(total_mcus, m0 + R),
-                     dc_enc, ac_enc, bits);
-      bits.flush();
-      if (fault::point("jpeg.encode.segment") && !b.empty())
-        b[b.size() / 2] ^= 0x40;
-    });
-  }
-
-  std::size_t entropy_total = 0;
-  for (int s = 0; s < nseg; ++s)
-    entropy_total +=
-        (seg_dirty[static_cast<std::size_t>(s)]
-             ? seg[static_cast<std::size_t>(s)].size()
-             : src.segments[static_cast<std::size_t>(s)].end -
-                   src.segments[static_cast<std::size_t>(s)].begin) +
-        2;
-  out.reserve(out.size() + entropy_total);
-  for (int s = 0; s < nseg; ++s) {
-    if (seg_dirty[static_cast<std::size_t>(s)]) {
-      const Bytes& b = seg[static_cast<std::size_t>(s)];
-      out.insert(out.end(), b.begin(), b.end());
-    } else {
-      const ScanSegment& r = src.segments[static_cast<std::size_t>(s)];
-      out.insert(out.end(), src.entropy.data() + r.begin,
-                 src.entropy.data() + r.end);
-    }
-    if (s + 1 < nseg) {
-      out.push_back(kMarkerPrefix);
-      out.push_back(static_cast<std::uint8_t>(0xd0 + s % 8));
-    }
-  }
-  if (stats) stats->entropy_bytes = out.size() - entropy_start;
-  out.push_back(kMarkerPrefix);
-  out.push_back(kEOI);
-  if (delta_stats) {
-    delta_stats->segments_total = nseg;
-    delta_stats->segments_reencoded = static_cast<int>(dirty_segs.size());
-    delta_stats->segments_copied = nseg - delta_stats->segments_reencoded;
-  }
-  return out;
-}
-
-void diff_dirty_mcus(const CoefficientImage& a, const CoefficientImage& b,
-                     DirtyMcuSet& dirty) {
-  require(a.width() == b.width() && a.height() == b.height() &&
-              a.component_count() == b.component_count() &&
-              a.chroma_mode() == b.chroma_mode(),
-          "diff_dirty_mcus requires identical geometry");
-  const int total = a.mcu_count();
-  dirty.reset(total);
-  const int mcu_cols = a.mcu_cols();
-  // Per-MCU char flags: parallel rows write disjoint elements; the serial
-  // fold below owns the shared bitset words. Compares stored (quantized)
-  // values only — callers gate on equal quant tables where that matters.
-  std::vector<char> flags(static_cast<std::size_t>(total), 0);
-  exec::parallel_for(static_cast<std::size_t>(a.mcu_rows()),
-                     [&](std::size_t my) {
-                       for (int mx = 0; mx < mcu_cols; ++mx) {
-                         bool diff = false;
-                         for (int c = 0;
-                              c < a.component_count() && !diff; ++c) {
-                           const Component& ca = a.component(c);
-                           const Component& cb = b.component(c);
-                           for (int by = 0; by < ca.v && !diff; ++by)
-                             for (int bx = 0; bx < ca.h; ++bx) {
-                               const int gx = mx * ca.h + bx;
-                               const int gy =
-                                   static_cast<int>(my) * ca.v + by;
-                               if (std::memcmp(ca.block(gx, gy).data(),
-                                               cb.block(gx, gy).data(),
-                                               sizeof(CoefBlock)) != 0) {
-                                 diff = true;
-                                 break;
-                               }
-                             }
-                         }
-                         if (diff)
-                           flags[my * static_cast<std::size_t>(mcu_cols) +
-                                 static_cast<std::size_t>(mx)] = 1;
-                       }
-                     });
-  for (int m = 0; m < total; ++m)
-    if (flags[static_cast<std::size_t>(m)]) dirty.mark(m);
-}
-
 std::vector<ScanSegment> scan_restart_segments(
     std::span<const std::uint8_t> entropy, int expected_segments) {
   std::vector<ScanSegment> segs;
@@ -747,11 +553,9 @@ constexpr std::size_t kDefaultMaxDecodePixels = 1'000'000'000;
 /// 0 = unset: resolve PUPPIES_MAX_PIXELS, else the default.
 std::atomic<std::size_t> g_max_decode_pixels{0};
 
-/// Test/bench hooks (set_parallel_decode_enabled,
-/// set_delta_reencode_enabled): each selects between two paths whose output
-/// bytes are identical, so neither is an operator setting.
+/// Test/bench hook (set_parallel_decode_enabled): selects between two paths
+/// whose output is identical, so it is not an operator setting.
 std::atomic<bool> g_parallel_decode{true};
-std::atomic<bool> g_delta_reencode{true};
 
 /// Segment-parallel scan decode — the exact inverse of serialize()'s
 /// parallel segment writers. Returns true iff every segment decoded cleanly
@@ -799,7 +603,7 @@ bool try_parallel_decode(CoefficientImage& img,
 }
 
 CoefficientImage parse_impl(std::span<const std::uint8_t> data,
-                            ParseStats* stats, ScanSource* source) {
+                            ParseStats* stats) {
   ByteReader r(data);
   if (r.u8() != kMarkerPrefix || r.u8() != kSOI)
     throw ParseError("missing SOI");
@@ -962,48 +766,9 @@ CoefficientImage parse_impl(std::span<const std::uint8_t> data,
           ? (total_mcus + restart_interval - 1) / restart_interval
           : 1;
   if (stats) {
+    stats->restart_interval = restart_interval;
     stats->restart_segments = nseg;
     stats->parallel = false;
-  }
-
-  // Retain the delta-serving context on request: the scan's entropy bytes,
-  // its segment table, and whether the tables are exactly the standard
-  // specs serialize() assigns. Left !valid() when there is no restart
-  // interval or the markers don't partition cleanly (the same all-or-nothing
-  // contract the parallel decoder applies). Filled before the scan decodes:
-  // if the entropy data turns out corrupt, parse throws and the caller never
-  // sees the ScanSource.
-  if (source) {
-    *source = ScanSource{};
-    if (restart_interval > 0) {
-      std::vector<ScanSegment> segs = scan_restart_segments(entropy, nseg);
-      if (static_cast<int>(segs.size()) == nseg) {
-        source->restart_interval = restart_interval;
-        source->entropy.assign(entropy.data(),
-                               entropy.data() + segs.back().end);
-        source->segments = std::move(segs);
-        bool std_tables = true;
-        for (int c = 0; c < scan_ncomp; ++c) {
-          const FrameComponent& fc = frame_comps[static_cast<std::size_t>(c)];
-          const HuffmanSpec& dc_used = have_huff[0][fc.dc_table]
-                                           ? huff[0][fc.dc_table]
-                                           : std_dc_luma();
-          const HuffmanSpec& ac_used = have_huff[1][fc.ac_table]
-                                           ? huff[1][fc.ac_table]
-                                           : std_ac_luma();
-          if (!(dc_used == std_spec_for_component(0, c)) ||
-              !(ac_used == std_spec_for_component(1, c))) {
-            std_tables = false;
-            break;
-          }
-        }
-        source->standard_tables = std_tables;
-        source->width = width;
-        source->height = height;
-        source->components = scan_ncomp;
-        source->chroma = mode;
-      }
-    }
   }
 
   if (nseg > 1 && parallel_decode_enabled()) {
@@ -1075,21 +840,12 @@ void set_parallel_decode_enabled(int enabled) {
   g_parallel_decode.store(enabled != 0, std::memory_order_relaxed);
 }
 
-bool delta_reencode_enabled() {
-  return g_delta_reencode.load(std::memory_order_relaxed);
-}
-
-void set_delta_reencode_enabled(int enabled) {
-  g_delta_reencode.store(enabled != 0, std::memory_order_relaxed);
-}
-
-CoefficientImage parse(std::span<const std::uint8_t> data, ParseStats* stats,
-                       ScanSource* source) {
+CoefficientImage parse(std::span<const std::uint8_t> data, ParseStats* stats) {
   // Clean taxonomy for hostile input: anything a malformed stream trips —
   // including deep precondition checks (Huffman spec sizes, image
   // dimensions) that report InvalidArgument — surfaces as ParseError.
   try {
-    return parse_impl(data, stats, source);
+    return parse_impl(data, stats);
   } catch (const ParseError&) {
     throw;
   } catch (const InvalidArgument& e) {

@@ -26,64 +26,34 @@ std::unique_ptr<store::BlobStore> open_backend(const PspConfig& config) {
   return store::open_disk_store(dir);
 }
 
-/// Every serving-side encode funnels through here: one timer histogram plus
-/// the entropy-segment accounting counters, so `store stats --json` shows
-/// the encode cost and the optimized-table win per upload/recompress.
+/// Entropy-segment accounting of one serving-side encode, so `store stats
+/// --json` shows the optimized-table win per upload/recompress.
+void record_encode(const jpeg::EncodeStats& stats) {
+  metrics::counter("psp.codec.entropy_bytes").add(stats.entropy_bytes);
+  metrics::counter("psp.codec.entropy_saved_bytes").add(stats.saved_bytes);
+}
+
+/// Every serving-side serialize() funnels through here: one timer histogram
+/// plus the entropy-segment accounting counters.
 Bytes serialize_measured(const jpeg::CoefficientImage& img,
                          const jpeg::EncodeOptions& opts,
                          const jpeg::ScanIndex* scan = nullptr) {
   metrics::ScopedTimer timer(metrics::histogram("psp.codec.encode_ms"));
   jpeg::EncodeStats stats;
   Bytes out = jpeg::serialize(img, opts, scan, &stats);
-  metrics::counter("psp.codec.entropy_bytes").add(stats.entropy_bytes);
-  metrics::counter("psp.codec.entropy_saved_bytes").add(stats.saved_bytes);
+  record_encode(stats);
   return out;
 }
 
 /// Decode-side twin of serialize_measured: upload-time parses funnel through
 /// here so `store stats --json` shows the decode cost next to the encode
 /// cost, plus how many restart segments fed the segment-parallel decoder.
-/// A non-null `source` retains the scan's delta-serving context.
 jpeg::CoefficientImage parse_measured(std::span<const std::uint8_t> data,
-                                      jpeg::ScanSource* source = nullptr) {
+                                      jpeg::ParseStats& stats) {
   metrics::ScopedTimer timer(metrics::histogram("psp.codec.decode_ms"));
-  jpeg::ParseStats stats;
-  jpeg::CoefficientImage img = jpeg::parse(data, &stats, source);
+  jpeg::CoefficientImage img = jpeg::parse(data, &stats);
   metrics::counter("psp.codec.decode_segments").add(stats.restart_segments);
   return img;
-}
-
-/// Per-request delta accounting: how many segments were spliced from the
-/// retained upload bytes vs re-entropy-coded, and how often a precondition
-/// miss (optimized tables, no restart markers, geometry change) fell back
-/// to the full path.
-void record_delta_metrics(const jpeg::DeltaStats& ds) {
-  if (ds.fallback) {
-    metrics::counter("psp.codec.delta_fallbacks").add();
-    return;
-  }
-  metrics::counter("psp.codec.segments_copied")
-      .add(static_cast<std::uint64_t>(ds.segments_copied));
-  metrics::counter("psp.codec.segments_reencoded")
-      .add(static_cast<std::uint64_t>(ds.segments_reencoded));
-}
-
-/// serialize_measured's delta twin: routes through jpeg::serialize_delta
-/// (which itself falls back to serialize() on any precondition miss), under
-/// the same encode timer and entropy counters.
-Bytes serialize_delta_measured(const jpeg::CoefficientImage& img,
-                               const jpeg::EncodeOptions& opts,
-                               const jpeg::ScanSource& src,
-                               const jpeg::DirtyMcuSet& dirty) {
-  metrics::ScopedTimer timer(metrics::histogram("psp.codec.encode_ms"));
-  jpeg::EncodeStats stats;
-  jpeg::DeltaStats ds;
-  Bytes out = jpeg::serialize_delta(img, opts, src, dirty, nullptr, &stats,
-                                    &ds);
-  metrics::counter("psp.codec.entropy_bytes").add(stats.entropy_bytes);
-  metrics::counter("psp.codec.entropy_saved_bytes").add(stats.saved_bytes);
-  record_delta_metrics(ds);
-  return out;
 }
 
 }  // namespace
@@ -104,10 +74,10 @@ std::string PspService::upload(const Bytes& jfif, const Bytes& public_params) {
   // Parse and blob publication run outside the map lock: only the cheap
   // insert serializes against other uploads.
   metrics::counter("psp.codec.parse").add();
-  jpeg::ScanSource scan_src;
-  jpeg::CoefficientImage parsed = parse_measured(jfif, &scan_src);
+  jpeg::ParseStats stats;
+  jpeg::CoefficientImage parsed = parse_measured(jfif, stats);
   auto e = std::make_unique<Entry>();
-  e->scan_src = std::move(scan_src);
+  e->restart_interval = stats.restart_interval;
   e->digest = blobs_->put(jfif);
   // Live uploads hold a GC reference; remove() is what drops it.
   if (repl_) repl_->pin(e->digest);
@@ -141,7 +111,6 @@ void PspService::remove(const std::string& id) {
   // Release the heavy per-image state; the tombstoned Entry itself stays
   // (entry pointers resolved under the map lock must remain valid).
   e.parsed = jpeg::CoefficientImage{};
-  e.scan_src = jpeg::ScanSource{};
   e.public_params = Bytes{};
   e.transformed.reset();
   metrics::counter("psp.remove").add();
@@ -197,18 +166,13 @@ store::TransformResult PspService::compute_transform(
     metrics::ScopedTimer timer(metrics::histogram("psp.transform.lossless_ms"));
     metrics::counter("psp.codec.lossless_op")
         .add(static_cast<std::uint64_t>(chain.size()));
-    // Chain-level lossless apply with dirty-MCU tracking: identity steps
-    // leave the grid clean (every segment of the retained upload scan can
-    // be copied verbatim); crops/rotates/flips mark everything and the
-    // delta serializer falls back on the geometry mismatch.
-    jpeg::DirtyMcuSet dirty;
-    jpeg::CoefficientImage img =
-        transform::apply_lossless(chain, e.parsed, &dirty);
+    const jpeg::CoefficientImage img =
+        transform::apply_lossless(chain, e.parsed);
     metrics::counter("psp.codec.serialize").add();
     jpeg::EncodeOptions eo;
     eo.huffman = config_.huffman;
     eo.restart_interval = config_.restart_interval;
-    r.jfif = serialize_delta_measured(img, eo, e.scan_src, dirty);
+    r.jfif = serialize_measured(img, eo);
   } else {
     require(mode != DeliveryMode::kCoefficients,
             "coefficient delivery requires an all-lossless chain");
@@ -228,21 +192,12 @@ store::TransformResult PspService::compute_transform(
       metrics::counter("psp.codec.inverse").add();
       metrics::counter("psp.codec.forward").add();
       metrics::counter("psp.codec.recompress_streamed").add();
-      // Delta recompress: the round trip at the right quality leaves most
-      // blocks bit-identical to the upload parse, so only the segments the
-      // clamp actually changed re-entropy-code; the rest splice from the
-      // retained upload bytes. Bytes equal the full path's in every case
-      // (fallback included), so the shared cache key stays safe.
       metrics::ScopedTimer enc_timer(
           metrics::histogram("psp.codec.encode_ms"));
       jpeg::EncodeStats stats;
-      jpeg::DeltaStats ds;
-      r.jfif = jpeg::recompress_delta_chunked(e.parsed, e.scan_src,
-                                              reencode_quality, eo, copt,
-                                              nullptr, &stats, &ds);
-      metrics::counter("psp.codec.entropy_bytes").add(stats.entropy_bytes);
-      metrics::counter("psp.codec.entropy_saved_bytes").add(stats.saved_bytes);
-      record_delta_metrics(ds);
+      r.jfif = jpeg::recompress_chunked(e.parsed, reencode_quality, eo, copt,
+                                        nullptr, &stats);
+      record_encode(stats);
       return r;
     }
     // Realistic path: clamp and re-encode, streamed one band of MCU rows at
@@ -348,7 +303,7 @@ Download PspService::download(const std::string& id) {
       // Reproduce the upload's own restart layout (not the serving
       // config's): the heal re-publishes under the original content
       // address, so the bytes must match the upload, not a transform.
-      eo.restart_interval = e.scan_src.restart_interval;
+      eo.restart_interval = e.restart_interval;
       d.jfif = serialize_measured(e.parsed, eo);
       try {
         const Digest healed = blobs_->put(d.jfif);

@@ -474,8 +474,7 @@ jpeg::CoefficientImage apply_lossless(const Step& step,
 }
 
 jpeg::CoefficientImage apply_lossless(const Chain& chain,
-                                      const jpeg::CoefficientImage& img,
-                                      jpeg::DirtyMcuSet* dirty) {
+                                      const jpeg::CoefficientImage& img) {
   // Each step's refusal, in the order and words of a step-by-step apply.
   const Remap m = fold(
       chain, img.width(), img.height(), [&](const Step& s, int w, int h) {
@@ -496,18 +495,7 @@ jpeg::CoefficientImage apply_lossless(const Chain& chain,
                   "lossless flip/rotate requires multiple-of-8 dimensions");
         }
       });
-  jpeg::CoefficientImage out =
-      m.moved ? jpeg::remap(img, m.window, m.element) : img;
-  if (dirty) {
-    // Crops/rotates/flips permute every block (and may change the grid), so
-    // no source segment's entropy bytes survive: size the set to the output
-    // grid and mark it wholesale. Identity-only chains leave a clean set of
-    // the (unchanged) grid — every segment copies.
-    if (m.moved || dirty->total != out.mcu_count())
-      dirty->reset(out.mcu_count());
-    if (m.moved) dirty->mark_all();
-  }
-  return out;
+  return m.moved ? jpeg::remap(img, m.window, m.element) : img;
 }
 
 std::pair<int, int> map_size(const Step& step, int w, int h) {
@@ -577,6 +565,10 @@ void write_chain(ByteWriter& out, const Chain& chain) {
 
 Chain read_chain(ByteReader& in) {
   const std::uint32_t n = in.u32();
+  if (n > kMaxChainSteps)
+    throw ParseError("transform chain of " + std::to_string(n) +
+                     " steps exceeds the limit of " +
+                     std::to_string(kMaxChainSteps));
   // Every step is 61 wire bytes (kind, 6 i32 args, 9 i32 kernel taps), so a
   // count the payload cannot hold is rejected before it sizes anything.
   constexpr std::size_t kStepBytes = 1 + 6 * 4 + 9 * 4;
@@ -606,6 +598,13 @@ Chain read_chain(ByteReader& in) {
     }
     chain.push_back(s);
   }
+  // The PSP stores and replies with the canonical form, and folding a run
+  // can lengthen it (flip_v becomes flip_h + rotate(180)). Bounding the
+  // canonical length too keeps every reply chain parseable; canonicalize
+  // is idempotent, so a chain that passes here always passes again.
+  if (canonicalize(chain).size() > kMaxChainSteps)
+    throw ParseError("canonical transform chain exceeds the limit of " +
+                     std::to_string(kMaxChainSteps) + " steps");
   return chain;
 }
 

@@ -347,6 +347,39 @@ TEST(Loopback, ErrorsMapToStatuses) {
                                      transform::scale(32, 32)}}))
                 .status,
             Status::kBadRequest);
+  // A chain one step over the cap is refused when the payload parses,
+  // before any of its full-image passes runs.
+  EXPECT_EQ(client
+                .call(Op::kApply,
+                      encode_apply({id, DeliveryMode::kClampedReencode, 80,
+                                    transform::Chain(
+                                        transform::kMaxChainSteps + 1,
+                                        transform::box_blur())}))
+                .status,
+            Status::kBadRequest);
+  // So is a chain at the cap whose canonical form is over it (each flip_v
+  // folds to two steps): the server stores and replies the canonical form,
+  // which the client could not parse back.
+  transform::Chain expands;
+  for (std::size_t i = 0; i < transform::kMaxChainSteps / 2; ++i) {
+    expands.push_back(transform::flip_v());
+    expands.push_back(transform::box_blur());
+  }
+  EXPECT_EQ(client
+                .call(Op::kApply,
+                      encode_apply({id, DeliveryMode::kClampedReencode, 80,
+                                    expands}))
+                .status,
+            Status::kBadRequest);
+  // A chain whose canonical form sits exactly at the cap is applied, and
+  // its download carries that chain back.
+  transform::Chain at_cap;
+  for (std::size_t i = 0; i < transform::kMaxChainSteps / 2; ++i) {
+    at_cap.push_back(transform::flip_h());
+    at_cap.push_back(transform::box_blur());
+  }
+  client.apply(id, at_cap, DeliveryMode::kClampedReencode, 80);
+  EXPECT_EQ(client.download(id).chain.size(), transform::kMaxChainSteps);
   // The server keeps serving: a valid apply and download still work.
   client.apply(id, {transform::rotate(90)}, DeliveryMode::kCoefficients, 80);
   EXPECT_EQ(jpeg::parse(client.download(id).jfif).width(), 64);

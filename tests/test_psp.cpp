@@ -199,6 +199,44 @@ TEST(Psp, PixelStreamedCounterTracksStreamedApplies) {
   EXPECT_EQ(jpeg::parse(psp.download(id).jfif).width(), 48);
 }
 
+// An identity chain in the coefficient domain re-serializes the retained
+// parse. For a canonical upload (this library's serialize() with the
+// serving Huffman mode and restart interval) that is the upload itself.
+TEST(Psp, IdentityCoefficientDownloadReturnsUploadBytes) {
+  Scenario s;
+  PspConfig cfg;
+  cfg.huffman = jpeg::HuffmanMode::kStandard;
+  PspService psp(cfg);
+  jpeg::EncodeOptions eo;
+  eo.huffman = cfg.huffman;
+  eo.restart_interval = cfg.restart_interval;
+  const Bytes upload = jpeg::serialize(s.shared.perturbed, eo);
+  const std::string id = psp.upload(upload, s.shared.params.serialize());
+  psp.apply_transform(id, {}, DeliveryMode::kCoefficients);
+  EXPECT_EQ(psp.download(id).jfif, upload);
+}
+
+// A serving-path encode with no usable ScanIndex must bump
+// psp.codec.scanindex_rebuilds, and the counter is in the same registry
+// JSON `puppies store stats --json` embeds.
+TEST(Psp, ShapeMismatchedIndexOnServingPathBumpsRebuildCounter) {
+  Scenario s;
+  PspService psp;
+  const std::string id = psp.upload(jpeg::serialize(s.shared.perturbed),
+                                    s.shared.params.serialize());
+  const std::uint64_t before =
+      metrics::counter("psp.codec.scanindex_rebuilds").value();
+  // rotate(90) changes the coefficient grid's shape, so no index matching
+  // the upload parse can cover the transformed image: the serving encode
+  // must rebuild.
+  psp.apply_transform(id, {transform::rotate(90)},
+                      DeliveryMode::kCoefficients);
+  EXPECT_FALSE(psp.download(id).jfif.empty());
+  EXPECT_GT(metrics::counter("psp.codec.scanindex_rebuilds").value(), before);
+  EXPECT_NE(metrics::dump_json().find("psp.codec.scanindex_rebuilds"),
+            std::string::npos);
+}
+
 TEST(Psp, CoefficientsModeRequiresLosslessChain) {
   Scenario s;
   PspService psp;

@@ -73,38 +73,52 @@ fs::path blob_file(const fs::path& root, const Digest& d) {
 // and the re-publish heals the store at the same address.
 
 TEST(PspFaults, DownloadSurvivesBlobCorruptionAndHealsStore) {
-  ScratchDir scratch("corrupt");
-  PspService psp(PspConfig{StoreBackend::kDisk, 0, scratch.str()});
-  const std::string id = psp.upload(fixture().jfif, fixture().params);
-  const Digest d = psp.digest_of(id);
+  // The fixture has no restart markers; the second upload has a restart
+  // interval (4, not the serving config's 64) and optimized tables, so the
+  // heal must re-encode the upload's own layout to land on its address.
+  jpeg::EncodeOptions restart_eo;
+  restart_eo.restart_interval = 4;
+  const Bytes with_restarts =
+      jpeg::serialize(jpeg::parse(fixture().jfif), restart_eo);
+  for (const Bytes* upload : {&fixture().jfif, &with_restarts}) {
+    SCOPED_TRACE(upload == &with_restarts ? "restart interval 4"
+                                          : "no restart markers");
+    ScratchDir scratch("corrupt");
+    PspService psp(PspConfig{StoreBackend::kDisk, 0, scratch.str()});
+    const std::string id = psp.upload(*upload, fixture().params);
+    const Digest d = psp.digest_of(id);
 
-  // Rot the blob on disk behind the service's back.
-  std::ofstream(blob_file(scratch.path(), d),
-                std::ios::binary | std::ios::app)
-      << "bitrot";
+    // Rot the blob on disk behind the service's back.
+    std::ofstream(blob_file(scratch.path(), d),
+                  std::ios::binary | std::ios::app)
+        << "bitrot";
 
-  const std::uint64_t degraded_before =
-      metrics::counter("psp.degraded.store_read").value();
-  const std::uint64_t corrupt_before =
-      metrics::counter("psp.degraded.store_corrupt").value();
-  const std::uint64_t healed_before =
-      metrics::counter("psp.healed.store").value();
+    const std::uint64_t degraded_before =
+        metrics::counter("psp.degraded.store_read").value();
+    const std::uint64_t corrupt_before =
+        metrics::counter("psp.degraded.store_corrupt").value();
+    const std::uint64_t healed_before =
+        metrics::counter("psp.healed.store").value();
 
-  const Download got = psp.download(id);
-  EXPECT_EQ(got.jfif, fixture().jfif);  // byte-identical despite the rot
-  EXPECT_EQ(metrics::counter("psp.degraded.store_read").value(),
-            degraded_before + 1);
-  EXPECT_EQ(metrics::counter("psp.degraded.store_corrupt").value(),
-            corrupt_before + 1);
-  EXPECT_EQ(metrics::counter("psp.healed.store").value(), healed_before + 1);
+    const Download got = psp.download(id);
+    EXPECT_EQ(got.jfif, *upload);  // byte-identical despite the rot
+    EXPECT_EQ(metrics::counter("psp.degraded.store_read").value(),
+              degraded_before + 1);
+    EXPECT_EQ(metrics::counter("psp.degraded.store_corrupt").value(),
+              corrupt_before + 1);
+    EXPECT_EQ(metrics::counter("psp.healed.store").value(),
+              healed_before + 1);
 
-  // Healed: the same address serves verified bytes again, quarantine keeps
-  // the rotten copy for inspection, and the next download is a normal one.
-  EXPECT_TRUE(psp.blobs().contains(d));
-  EXPECT_EQ(psp.blobs().get(d), fixture().jfif);
-  EXPECT_TRUE(
-      fs::exists(scratch.path() / "quarantine" / (d.to_hex() + ".blob")));
-  EXPECT_EQ(psp.download(id).jfif, fixture().jfif);
+    // Healed: the same address serves verified bytes again (the entry was
+    // not repointed), quarantine keeps the rotten copy for inspection, and
+    // the next download is a normal one.
+    EXPECT_EQ(psp.digest_of(id), d);
+    EXPECT_TRUE(psp.blobs().contains(d));
+    EXPECT_EQ(psp.blobs().get(d), *upload);
+    EXPECT_TRUE(
+        fs::exists(scratch.path() / "quarantine" / (d.to_hex() + ".blob")));
+    EXPECT_EQ(psp.download(id).jfif, *upload);
+  }
 }
 
 TEST(PspFaults, DownloadServesFromMemoryWhileStoreIsFullyDown) {

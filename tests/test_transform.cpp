@@ -204,6 +204,36 @@ TEST(Chain, ParseRejectsUnknownKind) {
   EXPECT_EQ(read_chain(okr), good);
 }
 
+// The step count is bounded by a constant, not by the payload: a chain at
+// the cap parses, one more step is refused before any step is read.
+TEST(Chain, ParseRefusesMoreStepsThanTheCap) {
+  const Chain at_cap(kMaxChainSteps, flip_h());
+  ByteWriter ok;
+  write_chain(ok, at_cap);
+  ByteReader okr(ok.bytes());
+  EXPECT_EQ(read_chain(okr), at_cap);
+
+  const Chain over_cap(kMaxChainSteps + 1, flip_h());
+  ByteWriter over;
+  write_chain(over, over_cap);
+  ByteReader overr(over.bytes());
+  EXPECT_THROW(read_chain(overr), ParseError);
+
+  // The canonical form is bounded too: each flip_v folds to flip_h +
+  // rotate(180), so 64 sent steps would be stored and replied as 96.
+  Chain expands;
+  for (std::size_t i = 0; i < kMaxChainSteps / 2; ++i) {
+    expands.push_back(flip_v());
+    expands.push_back(box_blur());
+  }
+  ASSERT_EQ(expands.size(), kMaxChainSteps);
+  ASSERT_GT(canonicalize(expands).size(), kMaxChainSteps);
+  ByteWriter exp;
+  write_chain(exp, expands);
+  ByteReader expr(exp.bytes());
+  EXPECT_THROW(read_chain(expr), ParseError);
+}
+
 TEST(ApplyLossless, RejectsPixelSteps) {
   const synth::SceneImage scene =
       synth::generate(synth::Dataset::kPascal, 7, 64, 48);
