@@ -22,14 +22,7 @@ const synth::SceneImage& scene() {
   return s;
 }
 
-std::vector<kernels::SimdTier> supported_tiers() {
-  std::vector<kernels::SimdTier> out;
-  for (kernels::SimdTier t :
-       {kernels::SimdTier::kScalar, kernels::SimdTier::kSse2,
-        kernels::SimdTier::kAvx2})
-    if (kernels::tier_supported(t)) out.push_back(t);
-  return out;
-}
+using kernels::supported_tiers;
 
 jpeg::FloatBlock bench_block() {
   jpeg::FloatBlock block;
@@ -382,6 +375,34 @@ void emit_codec_json() {
       k.dequantize(qout.data(), qc, fout.data());
       benchmark::DoNotOptimize(fout);
     });
+    // The fused band-codec kernels: quantize + zig-zag + nonzero mask on the
+    // encode side, un-zigzag + dequantize + IDCT on the decode side.
+    const double quant_scan_ns = ns_per_block([&] {
+      std::uint64_t m = k.quantize_scan(in.data(), qc, qout.data());
+      benchmark::DoNotOptimize(m);
+      benchmark::DoNotOptimize(qout);
+    });
+    const double dequant_idct_ns = ns_per_block([&] {
+      k.dequantize_idct(qout.data(), qc, fout.data());
+      benchmark::DoNotOptimize(fout);
+    });
+    // Exact 2x chroma upsample (sx = 0.5, an even-width 4:2:0 row of the
+    // bench image) in ns per output pixel.
+    std::vector<float> up_in(static_cast<std::size_t>(w / 2));
+    std::vector<float> up_out(static_cast<std::size_t>(w));
+    for (std::size_t i = 0; i < up_in.size(); ++i)
+      up_in[i] = static_cast<float>(i % 251);
+    constexpr int kRows = 20000;
+    const double upsample_ns =
+        bench::min_ms(3,
+                      [&] {
+                        for (int i = 0; i < kRows; ++i) {
+                          k.upsample_row(up_in.data(), up_in.data(), w / 2,
+                                         0.5f, 0.25f, w, up_out.data());
+                          benchmark::DoNotOptimize(up_out.data());
+                        }
+                      }) *
+        1e6 / (static_cast<double>(kRows) * w);
 
     jpeg::CoefficientImage coeffs;
     const double enc_ms =
@@ -411,20 +432,26 @@ void emit_codec_json() {
                   "\"idct8x8_ns_per_block\": %.1f, "
                   "\"quantize_ns_per_block\": %.1f, "
                   "\"dequantize_ns_per_block\": %.1f, "
+                  "\"quantize_scan_ns_per_block\": %.1f, "
+                  "\"dequantize_idct_ns_per_block\": %.1f, "
+                  "\"upsample_row_2x_ns_per_px\": %.3f, "
                   "\"encode_mp_per_s\": %.3f, "
                   "\"entropy_encode_mp_per_s\": %.3f, "
                   "\"decode_mp_per_s\": %.3f}%s\n",
                   static_cast<int>(kernels::to_string(tier).size()),
                   kernels::to_string(tier).data(), fdct_ns, idct_ns, quant_ns,
-                  dequant_ns, enc_mp_s, entropy_mp_s, dec_mp_s,
+                  dequant_ns, quant_scan_ns, dequant_idct_ns, upsample_ns,
+                  enc_mp_s, entropy_mp_s, dec_mp_s,
                   ti + 1 < tiers.size() ? "," : "");
     extras += line;
     std::printf(
         "tier %-6s: fdct %6.1f ns/blk, idct %6.1f, quant %5.1f, dequant "
-        "%5.1f; encode %6.2f MP/s, entropy-encode %6.2f MP/s, decode %6.2f "
+        "%5.1f, quant_scan %5.1f, dequant_idct %5.1f; upsample 2x %.3f "
+        "ns/px; encode %6.2f MP/s, entropy-encode %6.2f MP/s, decode %6.2f "
         "MP/s (1 thread)\n",
         std::string(kernels::to_string(tier)).c_str(), fdct_ns, idct_ns,
-        quant_ns, dequant_ns, enc_mp_s, entropy_mp_s, dec_mp_s);
+        quant_ns, dequant_ns, quant_scan_ns, dequant_idct_ns, upsample_ns,
+        enc_mp_s, entropy_mp_s, dec_mp_s);
   }
   extras += "  ],\n";
 

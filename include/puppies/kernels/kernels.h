@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 namespace puppies::kernels {
 
@@ -10,9 +11,11 @@ namespace puppies::kernels {
 /// byte-identical results (see DESIGN.md §8): the float kernels run one
 /// output column per vector lane with the scalar accumulation order, and the
 /// kernel TUs are built with -ffp-contract=off so no tier fuses multiply-add.
-enum class SimdTier : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+/// The values are the published "kernels.simd_tier" gauge, so they stay
+/// fixed; 1 is unused.
+enum class SimdTier : int { kScalar = 0, kAvx2 = 2 };
 
-/// "scalar" / "sse2" / "avx2".
+/// "scalar" / "avx2".
 std::string_view to_string(SimdTier tier);
 
 /// Parses a tier name (the --simd / PUPPIES_SIMD vocabulary). Throws
@@ -21,8 +24,8 @@ SimdTier parse_tier(std::string_view name);
 
 /// Per-QuantTable constants precomputed once and reused for every block
 /// (jpeg::quant_constants builds one). All arrays are in natural (row-major)
-/// order; `natural_of_zigzag` maps the output zig-zag position to its natural
-/// index so quantize can run vectorized in natural order and permute once.
+/// order, so quantize runs vectorized in natural order and permutes once,
+/// through the one zig-zag table (jpeg::kZigzagToNatural) every tier reads.
 ///
 /// `recip` is a double reciprocal: lround(float(double(v) * recip)) equals
 /// lround(v / step) for every float v and integer step in [1, 65535] (the
@@ -33,7 +36,6 @@ struct QuantConstants {
   std::array<double, 64> recip;               ///< 1.0 / step
   std::array<float, 64> step;                 ///< step as float (dequantize)
   std::array<float, 64> lo, hi;               ///< clamp bounds per position
-  std::array<std::uint8_t, 64> natural_of_zigzag;
 };
 
 /// Runtime-dispatched kernel table. All block pointers are 64-float or
@@ -89,6 +91,10 @@ SimdTier detected_tier();
 
 /// True if `tier` can run on this CPU (and was compiled in).
 bool tier_supported(SimdTier tier);
+
+/// Every tier tier_supported() accepts, weakest first (scalar is always
+/// there). The equivalence tests and the tier benches iterate this.
+std::vector<SimdTier> supported_tiers();
 
 /// Kernel table for an explicit tier; throws InvalidArgument if the tier is
 /// not supported on this machine. Used by the equivalence tests and benches.

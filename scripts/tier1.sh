@@ -34,6 +34,12 @@ PUPPIES_SIMD=scalar ./build/tests/tests_chunked
 # native one.
 PUPPIES_SIMD=scalar ./build/tests/tests_decode
 
+# The CLI help must print its UTF-8 section signs intact: a "\xc2\xa714"
+# literal is one out-of-range hex escape in C++, and prints a stray byte.
+HELP=$(./build/tools/puppies 2>&1 || true)
+grep -q '§14' <<<"$HELP" \
+  || { echo "puppies help lost the section sign before 14"; exit 1; }
+
 # The serving benchmark's own checks: its unit tests, and that
 # BENCHMARK.json still equals the spec servebench/run.py declares.
 python3 servebench/run.py --self-test
@@ -140,4 +146,4 @@ cmake --build build-ubsan -j"$(nproc)" --target tests_fuzz tests_chunked
 ./build-ubsan/tests/tests_fuzz
 ./build-ubsan/tests/tests_chunked
 
-echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode + servebench self-test + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec chunked/decode identity gates + tests_store/tests_chunked/tests_net/tests_decode/tests_jpeg under TSan + tests_fuzz/tests_chunked under ASan/UBSan)"
+echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode + CLI help text + servebench self-test + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec chunked/decode identity gates + tests_store/tests_chunked/tests_net/tests_decode/tests_jpeg under TSan + tests_fuzz/tests_chunked under ASan/UBSan)"

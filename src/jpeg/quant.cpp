@@ -63,7 +63,6 @@ kernels::QuantConstants quant_constants(const QuantTable& table) {
     qc.step[n] = static_cast<float>(table.q[z]);
     qc.lo[n] = static_cast<float>(z == 0 ? kDcMin : kAcMin);
     qc.hi[n] = static_cast<float>(z == 0 ? kDcMax : kAcMax);
-    qc.natural_of_zigzag[z] = static_cast<std::uint8_t>(n);
   }
   return qc;
 }

@@ -46,8 +46,6 @@ bool cpu_supported(SimdTier tier) {
   switch (tier) {
     case SimdTier::kScalar:
       return true;
-    case SimdTier::kSse2:
-      return __builtin_cpu_supports("sse2");
     case SimdTier::kAvx2:
       return __builtin_cpu_supports("avx2");
   }
@@ -61,12 +59,6 @@ bool compiled_in(SimdTier tier) {
   switch (tier) {
     case SimdTier::kScalar:
       return true;
-    case SimdTier::kSse2:
-#if defined(PUPPIES_KERNELS_HAVE_SSE2)
-      return true;
-#else
-      return false;
-#endif
     case SimdTier::kAvx2:
 #if defined(PUPPIES_KERNELS_HAVE_AVX2)
       return true;
@@ -118,8 +110,6 @@ std::string_view to_string(SimdTier tier) {
   switch (tier) {
     case SimdTier::kScalar:
       return "scalar";
-    case SimdTier::kSse2:
-      return "sse2";
     case SimdTier::kAvx2:
       return "avx2";
   }
@@ -128,18 +118,14 @@ std::string_view to_string(SimdTier tier) {
 
 SimdTier parse_tier(std::string_view name) {
   if (name == "scalar") return SimdTier::kScalar;
-  if (name == "sse2") return SimdTier::kSse2;
   if (name == "avx2") return SimdTier::kAvx2;
   throw InvalidArgument("unknown SIMD tier '" + std::string(name) +
-                        "', expected scalar|sse2|avx2");
+                        "', expected scalar|avx2");
 }
 
 SimdTier detected_tier() {
-  static const SimdTier best = [] {
-    for (const SimdTier t : {SimdTier::kAvx2, SimdTier::kSse2})
-      if (compiled_in(t) && cpu_supported(t)) return t;
-    return SimdTier::kScalar;
-  }();
+  static const SimdTier best =
+      tier_supported(SimdTier::kAvx2) ? SimdTier::kAvx2 : SimdTier::kScalar;
   return best;
 }
 
@@ -147,26 +133,20 @@ bool tier_supported(SimdTier tier) {
   return compiled_in(tier) && cpu_supported(tier);
 }
 
+std::vector<SimdTier> supported_tiers() {
+  std::vector<SimdTier> out;
+  for (const SimdTier t : {SimdTier::kScalar, SimdTier::kAvx2})
+    if (tier_supported(t)) out.push_back(t);
+  return out;
+}
+
 const KernelTable& table_for(SimdTier tier) {
   if (!tier_supported(tier))
     throw InvalidArgument("SIMD tier " + std::string(to_string(tier)) +
                           " is not supported on this machine");
-  switch (tier) {
-    case SimdTier::kSse2:
-#if defined(PUPPIES_KERNELS_HAVE_SSE2)
-      return detail::table_sse2();
-#else
-      break;
-#endif
-    case SimdTier::kAvx2:
 #if defined(PUPPIES_KERNELS_HAVE_AVX2)
-      return detail::table_avx2();
-#else
-      break;
+  if (tier == SimdTier::kAvx2) return detail::table_avx2();
 #endif
-    default:
-      break;
-  }
   return detail::table_scalar();
 }
 

@@ -9,6 +9,7 @@
 
 #include <immintrin.h>
 
+#include <array>
 #include <cstring>
 
 namespace puppies::kernels::detail {
@@ -89,11 +90,71 @@ inline void quantize_natural_avx2(const float* raw, const QuantConstants& qc,
   }
 }
 
+/// Byte-shuffle tables for one 64-entry int16 permute out[d] = in[src[d]].
+/// Output vector v holds entries 16v..16v+15 (two 8-entry 128-bit lanes);
+/// shuf[v][r] moves each of those entries that lives in source row r
+/// (entries 8r..8r+7) into place and zeroes the rest (0x80). pshufb only
+/// reads within a 128-bit lane, so each source row is broadcast to both
+/// lanes and the output vector is the OR of its rows' shuffles; rows
+/// [first[v], last[v]] are the only ones that contribute.
+struct Permute64 {
+  alignas(32) std::uint8_t shuf[4][8][32];
+  int first[4], last[4];
+};
+
+constexpr Permute64 permute64_tables(const std::array<int, 64>& src) {
+  Permute64 t{};
+  for (int v = 0; v < 4; ++v) {
+    t.first[v] = 7;
+    t.last[v] = 0;
+    for (auto& row : t.shuf[v])
+      for (std::uint8_t& b : row) b = 0x80;
+    for (int i = 0; i < 16; ++i) {
+      const int s = src[static_cast<std::size_t>(16 * v + i)];
+      const int r = s / 8;
+      t.shuf[v][r][2 * i] = static_cast<std::uint8_t>(2 * (s % 8));
+      t.shuf[v][r][2 * i + 1] = static_cast<std::uint8_t>(2 * (s % 8) + 1);
+      t.first[v] = r < t.first[v] ? r : t.first[v];
+      t.last[v] = r > t.last[v] ? r : t.last[v];
+    }
+  }
+  return t;
+}
+
+/// Natural -> zig-zag and back, both from the one standard zig-zag table.
+constexpr Permute64 kToZigzag = permute64_tables(jpeg::kZigzagToNatural);
+constexpr Permute64 kToNatural = permute64_tables(jpeg::kNaturalToZigzag);
+
+/// The tables are a template argument so that, fully unrolled, the row
+/// ranges fold to constants: the source rows stay in registers and only the
+/// contributing shuffles are emitted.
+template <const Permute64& T>
+inline void permute64(const std::int16_t* in, std::int16_t* out) {
+  __m256i rows[8];
+#pragma GCC unroll 8
+  for (int r = 0; r < 8; ++r)
+    rows[r] = _mm256_broadcastsi128_si256(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 8 * r)));
+#pragma GCC unroll 4
+  for (int v = 0; v < 4; ++v) {
+    __m256i acc = _mm256_setzero_si256();
+#pragma GCC unroll 8
+    for (int r = 0; r < 8; ++r)
+      if (r >= T.first[v] && r <= T.last[v])
+        acc = _mm256_or_si256(
+            acc, _mm256_shuffle_epi8(rows[r],
+                                     _mm256_load_si256(
+                                         reinterpret_cast<const __m256i*>(
+                                             T.shuf[v][r]))));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 16 * v), acc);
+  }
+}
+
 void quantize_avx2(const float* raw, const QuantConstants& qc,
                    std::int16_t* out) {
-  std::int16_t nat[64];
+  alignas(32) std::int16_t nat[64];
   quantize_natural_avx2(raw, qc, nat);
-  for (int z = 0; z < 64; ++z) out[z] = nat[qc.natural_of_zigzag[z]];
+  permute64<kToZigzag>(nat, out);
 }
 
 std::uint64_t nonzero_mask_avx2(const std::int16_t* block_zigzag) {
@@ -119,15 +180,14 @@ std::uint64_t nonzero_mask_avx2(const std::int16_t* block_zigzag) {
 
 std::uint64_t quantize_scan_avx2(const float* raw, const QuantConstants& qc,
                                  std::int16_t* out) {
-  std::int16_t nat[64];
-  quantize_natural_avx2(raw, qc, nat);
-  return permute_zigzag_mask(nat, qc, out);
+  quantize_avx2(raw, qc, out);
+  return nonzero_mask_avx2(out);
 }
 
 void dequantize_avx2(const std::int16_t* in, const QuantConstants& qc,
                      float* out) {
-  std::int16_t nat[64];
-  for (int z = 0; z < 64; ++z) nat[qc.natural_of_zigzag[z]] = in[z];
+  alignas(32) std::int16_t nat[64];
+  permute64<kToNatural>(in, nat);
   for (int n = 0; n < 64; n += 8) {
     const __m128i v16 =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(nat + n));
@@ -171,8 +231,8 @@ void rgb_to_ycc_row_avx2(const std::uint8_t* r, const std::uint8_t* g,
   rgb_to_ycc_px(r, g, b, x, n, y, cb, cr);
 }
 
-/// clamp_u8 on 8 lanes: clamp to [0,255], then half-up round (equals
-/// clamp(lround(v)) — see the SSE2 tier note).
+/// clamp_u8 on 8 lanes: clamp to [0,255] first, then half-up round; the
+/// clamped v is non-negative, so this equals clamp(lround(v)).
 inline __m256i clamp_round8(__m256 v) {
   v = _mm256_max_ps(v, _mm256_setzero_ps());
   v = _mm256_min_ps(v, bcast(255.f));
@@ -235,10 +295,18 @@ void downsample2x_row_avx2(const float* row0, const float* row1, int in_w,
   downsample2x_px(row0, row1, in_w, x, out_w, out);
 }
 
+/// The four-tap blend every upsample lane computes, in the scalar order:
+/// r00*(1-wx)*(1-wy) + r10*wx*(1-wy) + r01*(1-wx)*wy + r11*wx*wy.
+inline __m256 bilerp(__m256 r00, __m256 r10, __m256 r01, __m256 r11,
+                     __m256 wx, __m256 omwx, __m256 wy, __m256 omwy) {
+  return add(add(add(mul(mul(r00, omwx), omwy), mul(mul(r10, wx), omwy)),
+                 mul(mul(r01, omwx), wy)),
+             mul(mul(r11, wx), wy));
+}
+
 void upsample_row_avx2(const float* row0, const float* row1, int in_w,
                        float sx, float wy, int out_w, float* out) {
-  // Same border/interior split as upsample_row_scalar; the interior gathers
-  // its four taps with unchecked indices.
+  // Same border/interior split as upsample_row_scalar.
   int lo = 0;
   while (lo < out_w &&
          static_cast<int>(std::floor((lo + 0.5f) * sx - 0.5f)) < 0)
@@ -253,6 +321,33 @@ void upsample_row_avx2(const float* row0, const float* row1, int in_w,
   const __m256 vwy = bcast(wy);
   const __m256 vomwy = _mm256_sub_ps(vone, vwy);
   int x = lo;
+  if (sx == 0.5f) {
+    // Exact 2x (every even-width 4:2:0 chroma row): output 2m+1 blends
+    // source m, m+1 with wx = 0.25 and output 2m+2 the same pair with
+    // wx = 0.75 (fx = m + 0.25 / m + 0.75 exactly), so 8 outputs from odd x
+    // read source m..m+4 of one 8-float load, spread by two permutes. x
+    // starts odd: lo is 1, output 0 being the clamped left border.
+    const __m256i tap0 = _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3);
+    const __m256i tap1 = _mm256_setr_epi32(1, 1, 2, 2, 3, 3, 4, 4);
+    const __m256 wx = _mm256_setr_ps(0.25f, 0.75f, 0.25f, 0.75f, 0.25f,
+                                     0.75f, 0.25f, 0.75f);
+    const __m256 omwx = _mm256_sub_ps(vone, wx);
+    // The second bound keeps the whole 8-float load inside the row.
+    for (; x + 8 <= hi && (x - 1) / 2 + 8 <= in_w; x += 8) {
+      const int m = (x - 1) / 2;
+      const __m256 a = _mm256_loadu_ps(row0 + m);
+      const __m256 b = _mm256_loadu_ps(row1 + m);
+      _mm256_storeu_ps(
+          out + x, bilerp(_mm256_permutevar8x32_ps(a, tap0),
+                          _mm256_permutevar8x32_ps(a, tap1),
+                          _mm256_permutevar8x32_ps(b, tap0),
+                          _mm256_permutevar8x32_ps(b, tap1), wx, omwx, vwy,
+                          vomwy));
+    }
+  }
+  // Any other ratio (odd-width 4:2:0, scale steps), and the last 2x
+  // outputs the load bound stopped, gather their four taps with unchecked
+  // indices.
   for (; x + 8 <= hi; x += 8) {
     const __m256 xf = _mm256_cvtepi32_ps(_mm256_setr_epi32(
         x, x + 1, x + 2, x + 3, x + 4, x + 5, x + 6, x + 7));
@@ -262,24 +357,15 @@ void upsample_row_avx2(const float* row0, const float* row1, int in_w,
     const __m256i x0 = _mm256_cvttps_epi32(fl);
     const __m256i x1 = _mm256_add_epi32(x0, _mm256_set1_epi32(1));
     const __m256 wx = _mm256_sub_ps(fx, fl);
-    const __m256 omwx = _mm256_sub_ps(vone, wx);
-    const __m256 r00 = _mm256_i32gather_ps(row0, x0, 4);
-    const __m256 r10 = _mm256_i32gather_ps(row0, x1, 4);
-    const __m256 r01 = _mm256_i32gather_ps(row1, x0, 4);
-    const __m256 r11 = _mm256_i32gather_ps(row1, x1, 4);
-    const __m256 v = add(add(add(mul(mul(r00, omwx), vomwy),
-                                 mul(mul(r10, wx), vomwy)),
-                             mul(mul(r01, omwx), vwy)),
-                         mul(mul(r11, wx), vwy));
-    _mm256_storeu_ps(out + x, v);
+    _mm256_storeu_ps(
+        out + x,
+        bilerp(_mm256_i32gather_ps(row0, x0, 4),
+               _mm256_i32gather_ps(row0, x1, 4),
+               _mm256_i32gather_ps(row1, x0, 4),
+               _mm256_i32gather_ps(row1, x1, 4), wx,
+               _mm256_sub_ps(vone, wx), vwy, vomwy));
   }
-  for (; x < hi; ++x) {
-    const float fx = (x + 0.5f) * sx - 0.5f;
-    const int x0 = static_cast<int>(std::floor(fx));
-    const float wx = fx - x0;
-    out[x] = row0[x0] * (1 - wx) * (1 - wy) + row0[x0 + 1] * wx * (1 - wy) +
-             row1[x0] * (1 - wx) * wy + row1[x0 + 1] * wx * wy;
-  }
+  upsample_interior_px(row0, row1, sx, wy, x, hi, out);
   upsample_px(row0, row1, in_w, sx, wy, hi, out_w, out);
 }
 

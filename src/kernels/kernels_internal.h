@@ -3,7 +3,7 @@
 // Internal contract between the dispatcher (kernels.cpp) and the per-tier
 // translation units. Each tier TU defines a table_<tier>() accessor; a tier
 // that is not compiled in simply has no TU (kernels.cpp gates on the
-// PUPPIES_KERNELS_HAVE_* macros from CMake).
+// PUPPIES_KERNELS_HAVE_AVX2 macro from CMake).
 //
 // Bit-exactness rules for every implementation in these TUs:
 //  - float kernels: one output column per vector lane, accumulating in the
@@ -15,14 +15,12 @@
 
 #include <cmath>
 
+#include "puppies/jpeg/zigzag.h"
 #include "puppies/kernels/kernels.h"
 
 namespace puppies::kernels::detail {
 
 const KernelTable& table_scalar();
-#if defined(PUPPIES_KERNELS_HAVE_SSE2)
-const KernelTable& table_sse2();
-#endif
 #if defined(PUPPIES_KERNELS_HAVE_AVX2)
 const KernelTable& table_avx2();
 #endif
@@ -49,24 +47,11 @@ void downsample2x_px(const float* row0, const float* row1, int in_w,
                      int first, int out_w, float* out);
 void upsample_px(const float* row0, const float* row1, int in_w, float sx,
                  float wy, int first, int n, float* out);
+/// upsample_px without the clamps, for [first, n) inside the interior run.
+void upsample_interior_px(const float* row0, const float* row1, float sx,
+                          float wy, int first, int n, float* out);
 void upsample_row_scalar(const float* row0, const float* row1, int in_w,
                          float sx, float wy, int out_w, float* out);
-
-/// Shared zigzag permute + nonzero-scan epilogue of quantize_scan: every
-/// tier's divide/clamp/round core writes natural-order int16, then this one
-/// loop reorders into zig-zag and accumulates the nonzero bitmask, so the
-/// int16 output is identical to quantize() by construction.
-inline std::uint64_t permute_zigzag_mask(const std::int16_t* nat,
-                                         const QuantConstants& qc,
-                                         std::int16_t* out) {
-  std::uint64_t mask = 0;
-  for (int z = 0; z < 64; ++z) {
-    const std::int16_t v = nat[qc.natural_of_zigzag[z]];
-    out[z] = v;
-    mask |= static_cast<std::uint64_t>(v != 0) << z;
-  }
-  return mask;
-}
 
 /// lround with clamp for one already-divided value; kept inline so scalar
 /// and tail paths share the exact sequence.

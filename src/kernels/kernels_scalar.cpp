@@ -48,7 +48,7 @@ void quantize_scalar(const float* raw, const QuantConstants& qc,
   std::int16_t nat[64];
   for (int n = 0; n < 64; ++n)
     nat[n] = quantize_one(raw[n], qc.recip[n], qc.lo[n], qc.hi[n]);
-  for (int z = 0; z < 64; ++z) out[z] = nat[qc.natural_of_zigzag[z]];
+  for (int z = 0; z < 64; ++z) out[z] = nat[jpeg::kZigzagToNatural[z]];
 }
 
 std::uint64_t nonzero_mask_scalar(const std::int16_t* block_zigzag) {
@@ -63,13 +63,19 @@ std::uint64_t quantize_scan_scalar(const float* raw, const QuantConstants& qc,
   std::int16_t nat[64];
   for (int n = 0; n < 64; ++n)
     nat[n] = quantize_one(raw[n], qc.recip[n], qc.lo[n], qc.hi[n]);
-  return permute_zigzag_mask(nat, qc, out);
+  // Zig-zag permute and nonzero scan in one pass.
+  std::uint64_t mask = 0;
+  for (int z = 0; z < 64; ++z) {
+    out[z] = nat[jpeg::kZigzagToNatural[z]];
+    mask |= static_cast<std::uint64_t>(out[z] != 0) << z;
+  }
+  return mask;
 }
 
 void dequantize_scalar(const std::int16_t* in, const QuantConstants& qc,
                        float* out) {
   for (int z = 0; z < 64; ++z) {
-    const int n = qc.natural_of_zigzag[z];
+    const int n = jpeg::kZigzagToNatural[z];
     out[n] = static_cast<float>(in[z]) * qc.step[n];
   }
 }
@@ -130,6 +136,17 @@ void upsample_px(const float* row0, const float* row1, int in_w, float sx,
   }
 }
 
+void upsample_interior_px(const float* row0, const float* row1, float sx,
+                          float wy, int first, int n, float* out) {
+  for (int x = first; x < n; ++x) {
+    const float fx = (x + 0.5f) * sx - 0.5f;
+    const int x0 = static_cast<int>(std::floor(fx));
+    const float wx = fx - x0;
+    out[x] = row0[x0] * (1 - wx) * (1 - wy) + row0[x0 + 1] * wx * (1 - wy) +
+             row1[x0] * (1 - wx) * wy + row1[x0 + 1] * wx * wy;
+  }
+}
+
 void upsample_row_scalar(const float* row0, const float* row1, int in_w,
                          float sx, float wy, int out_w, float* out) {
   // Split the one-pixel-deep clamped borders from the unchecked interior:
@@ -145,13 +162,7 @@ void upsample_row_scalar(const float* row0, const float* row1, int in_w,
              in_w - 1)
     --hi;
   upsample_px(row0, row1, in_w, sx, wy, 0, lo, out);
-  for (int x = lo; x < hi; ++x) {
-    const float fx = (x + 0.5f) * sx - 0.5f;
-    const int x0 = static_cast<int>(std::floor(fx));
-    const float wx = fx - x0;
-    out[x] = row0[x0] * (1 - wx) * (1 - wy) + row0[x0 + 1] * wx * (1 - wy) +
-             row1[x0] * (1 - wx) * wy + row1[x0 + 1] * wx * wy;
-  }
+  upsample_interior_px(row0, row1, sx, wy, lo, hi, out);
   upsample_px(row0, row1, in_w, sx, wy, hi, out_w, out);
 }
 

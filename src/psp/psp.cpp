@@ -26,22 +26,17 @@ std::unique_ptr<store::BlobStore> open_backend(const PspConfig& config) {
   return store::open_disk_store(dir);
 }
 
-/// Entropy-segment accounting of one serving-side encode, so `store stats
-/// --json` shows the optimized-table win per upload/recompress.
-void record_encode(const jpeg::EncodeStats& stats) {
-  metrics::counter("psp.codec.entropy_bytes").add(stats.entropy_bytes);
-  metrics::counter("psp.codec.entropy_saved_bytes").add(stats.saved_bytes);
-}
-
 /// Every serving-side serialize() funnels through here: one timer histogram
-/// plus the entropy-segment accounting counters.
+/// plus the entropy-segment accounting counters, so `store stats --json`
+/// shows the optimized-table win per upload/recompress.
 Bytes serialize_measured(const jpeg::CoefficientImage& img,
                          const jpeg::EncodeOptions& opts,
                          const jpeg::ScanIndex* scan = nullptr) {
   metrics::ScopedTimer timer(metrics::histogram("psp.codec.encode_ms"));
   jpeg::EncodeStats stats;
   Bytes out = jpeg::serialize(img, opts, scan, &stats);
-  record_encode(stats);
+  metrics::counter("psp.codec.entropy_bytes").add(stats.entropy_bytes);
+  metrics::counter("psp.codec.entropy_saved_bytes").add(stats.saved_bytes);
   return out;
 }
 
@@ -192,12 +187,10 @@ store::TransformResult PspService::compute_transform(
       metrics::counter("psp.codec.inverse").add();
       metrics::counter("psp.codec.forward").add();
       metrics::counter("psp.codec.recompress_streamed").add();
-      metrics::ScopedTimer enc_timer(
-          metrics::histogram("psp.codec.encode_ms"));
-      jpeg::EncodeStats stats;
-      r.jfif = jpeg::recompress_chunked(e.parsed, reencode_quality, eo, copt,
-                                        nullptr, &stats);
-      record_encode(stats);
+      jpeg::ScanIndex scan;
+      const jpeg::CoefficientImage coeffs = jpeg::transcode_chunked(
+          e.parsed, reencode_quality, eo.chroma, copt, &scan);
+      r.jfif = serialize_measured(coeffs, eo, &scan);
       return r;
     }
     // Realistic path: clamp and re-encode, streamed one band of MCU rows at

@@ -69,14 +69,7 @@ CoefficientImage parse_serial(const Bytes& data, ParseStats* stats = nullptr) {
   return img;
 }
 
-std::vector<kernels::SimdTier> supported_tiers() {
-  std::vector<kernels::SimdTier> out;
-  for (kernels::SimdTier t : {kernels::SimdTier::kScalar,
-                              kernels::SimdTier::kSse2,
-                              kernels::SimdTier::kAvx2})
-    if (kernels::tier_supported(t)) out.push_back(t);
-  return out;
-}
+using kernels::supported_tiers;
 
 // ---------------------------------------------------------------------------
 // Segment-parallel decode vs the serial decoder.

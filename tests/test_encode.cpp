@@ -284,14 +284,7 @@ jpeg::CoefficientImage perturbed(const jpeg::CoefficientImage& img,
   return core::protect(img, {policy}).perturbed;
 }
 
-std::vector<kernels::SimdTier> supported_tiers() {
-  std::vector<kernels::SimdTier> out;
-  for (kernels::SimdTier t :
-       {kernels::SimdTier::kScalar, kernels::SimdTier::kSse2,
-        kernels::SimdTier::kAvx2})
-    if (kernels::tier_supported(t)) out.push_back(t);
-  return out;
-}
+using kernels::supported_tiers;
 
 /// Restores the entry tier when a test reconfigures SIMD dispatch.
 struct TierGuard {

@@ -30,13 +30,7 @@ namespace {
 
 using jpeg::FloatBlock;
 using kernels::SimdTier;
-
-std::vector<SimdTier> supported_tiers() {
-  std::vector<SimdTier> out;
-  for (SimdTier t : {SimdTier::kScalar, SimdTier::kSse2, SimdTier::kAvx2})
-    if (kernels::tier_supported(t)) out.push_back(t);
-  return out;
-}
+using kernels::supported_tiers;
 
 /// Restores the active tier on scope exit so tests can configure() freely.
 struct TierGuard {
@@ -138,6 +132,26 @@ FloatBlock ref_dequantize(const std::array<std::int16_t, 64>& block,
     raw[jpeg::kZigzagToNatural[z]] =
         static_cast<float>(block[z]) * static_cast<float>(table.q[z]);
   return raw;
+}
+
+std::uint64_t ref_nonzero_mask(const std::array<std::int16_t, 64>& block) {
+  std::uint64_t mask = 0;
+  for (int z = 0; z < 64; ++z)
+    if (block[z] != 0) mask |= std::uint64_t{1} << z;
+  return mask;
+}
+
+/// quantize_scan must write exactly quantize()'s block and return the
+/// nonzero mask of it.
+void expect_quantize_scan(const kernels::KernelTable& k, const FloatBlock& raw,
+                          const kernels::QuantConstants& qc,
+                          const std::array<std::int16_t, 64>& want,
+                          const std::string& where) {
+  std::array<std::int16_t, 64> got{};
+  const std::uint64_t mask = k.quantize_scan(raw.data(), qc, got.data());
+  ASSERT_EQ(got, want) << where;
+  ASSERT_EQ(mask, ref_nonzero_mask(want)) << where;
+  ASSERT_EQ(mask, k.nonzero_mask(want.data())) << where;
 }
 
 std::uint8_t ref_clamp_u8(float v) {
@@ -242,24 +256,37 @@ TEST(Kernels, QuantizeDequantizeMatchReferenceOnAllTiers) {
   TierGuard guard;
   std::mt19937 rng(13);
   std::uniform_int_distribution<int> quality(1, 100);
-  for (int rep = 0; rep < 100; ++rep) {
+  for (int rep = 0; rep < 200; ++rep) {
     const jpeg::QuantTable qt = rep % 2 == 0
                                     ? jpeg::luma_quant_table(quality(rng))
                                     : jpeg::chroma_quant_table(quality(rng));
     const kernels::QuantConstants qc = jpeg::quant_constants(qt);
-    // Large range so the DC/AC clamps are exercised on both sides.
-    const FloatBlock raw = random_block(rng, -3000.f, 3000.f);
+    // Large range so the DC/AC clamps are exercised on both sides; half the
+    // blocks are mostly zeros so the nonzero masks are not all-ones.
+    FloatBlock raw = random_block(rng, -3000.f, 3000.f);
+    if (rep % 4 >= 2)
+      for (float& v : raw)
+        if (rng() % 4 != 0) v = 0.f;
     const std::array<std::int16_t, 64> want = ref_quantize(raw, qt);
     const FloatBlock want_d = ref_dequantize(want, qt);
+    FloatBlock want_s;
+    kernels::table_for(SimdTier::kScalar)
+        .idct8x8(want_d.data(), want_s.data());
+    const FloatBlock ref_s = ref_idct8x8(want_d);
+    for (int i = 0; i < 64; ++i) ASSERT_EQ(want_s[i], ref_s[i]) << i;
     for (SimdTier tier : supported_tiers()) {
       const auto& k = kernels::table_for(tier);
+      const std::string where =
+          std::string(kernels::to_string(tier)) + " rep " + std::to_string(rep);
       std::array<std::int16_t, 64> got{};
       k.quantize(raw.data(), qc, got.data());
-      ASSERT_EQ(got, want) << kernels::to_string(tier) << " rep " << rep;
+      ASSERT_EQ(got, want) << where;
+      expect_quantize_scan(k, raw, qc, want, where);
       FloatBlock got_d;
       k.dequantize(want.data(), qc, got_d.data());
-      ASSERT_TRUE(bits_equal(got_d.data(), want_d.data(), 64))
-          << kernels::to_string(tier) << " rep " << rep;
+      ASSERT_TRUE(bits_equal(got_d.data(), want_d.data(), 64)) << where;
+      k.dequantize_idct(want.data(), qc, got_d.data());
+      ASSERT_TRUE(bits_equal(got_d.data(), want_s.data(), 64)) << where;
     }
   }
 }
@@ -277,9 +304,12 @@ TEST(Kernels, QuantizeClampEdges) {
   for (std::size_t i = 0; i < std::size(edge); ++i) raw[i] = edge[i];
   const std::array<std::int16_t, 64> want = ref_quantize(raw, qt);
   for (SimdTier tier : supported_tiers()) {
+    const auto& k = kernels::table_for(tier);
     std::array<std::int16_t, 64> got{};
-    kernels::table_for(tier).quantize(raw.data(), qc, got.data());
+    k.quantize(raw.data(), qc, got.data());
     ASSERT_EQ(got, want) << kernels::to_string(tier);
+    expect_quantize_scan(k, raw, qc, want,
+                         std::string(kernels::to_string(tier)));
   }
 }
 
@@ -365,40 +395,56 @@ TEST(Kernels, DownsampleRowIdenticalAcrossTiersAndReference) {
   }
 }
 
-TEST(Kernels, UpsampleRowIdenticalAcrossTiersAndReference) {
-  std::mt19937 rng(29);
+/// Every tier's upsample_row against the pre-kernel clamped_at formulation,
+/// for one in_w -> out_w pair at sx = in_w / out_w.
+void check_upsample_row(int in_w, int out_w, std::mt19937& rng) {
   std::uniform_real_distribution<float> f(-64.f, 320.f);
   std::uniform_real_distribution<float> wdist(0.f, 1.f);
-  for (int in_w : {1, 2, 3, 5, 8, 16, 17, 33, 64}) {
-    for (int out_w : {1, 2, 7, 16, 31, 32, 64, 129}) {
-      const float sx = static_cast<float>(in_w) / out_w;
-      const float wy = wdist(rng);
-      std::vector<float> r0(in_w), r1(in_w);
-      for (int i = 0; i < in_w; ++i) {
-        r0[i] = f(rng);
-        r1[i] = f(rng);
-      }
-      // Reference: the pre-kernel clamped_at formulation.
-      std::vector<float> want(out_w);
-      for (int x = 0; x < out_w; ++x) {
-        const float fx = (x + 0.5f) * sx - 0.5f;
-        const int x0 = static_cast<int>(std::floor(fx));
-        const float wx = fx - x0;
-        auto cl = [&](const std::vector<float>& row, int i) {
-          return row[i < 0 ? 0 : (i >= in_w ? in_w - 1 : i)];
-        };
-        want[x] = cl(r0, x0) * (1 - wx) * (1 - wy) +
-                  cl(r0, x0 + 1) * wx * (1 - wy) +
-                  cl(r1, x0) * (1 - wx) * wy + cl(r1, x0 + 1) * wx * wy;
-      }
-      for (SimdTier tier : supported_tiers()) {
-        std::vector<float> got(out_w);
-        kernels::table_for(tier).upsample_row(r0.data(), r1.data(), in_w, sx,
-                                              wy, out_w, got.data());
-        ASSERT_TRUE(bits_equal(got.data(), want.data(), out_w))
-            << kernels::to_string(tier) << " " << in_w << "->" << out_w;
-      }
-    }
+  const float sx = static_cast<float>(in_w) / out_w;
+  const float wy = wdist(rng);
+  std::vector<float> r0(in_w), r1(in_w);
+  for (int i = 0; i < in_w; ++i) {
+    r0[i] = f(rng);
+    r1[i] = f(rng);
+  }
+  std::vector<float> want(out_w);
+  for (int x = 0; x < out_w; ++x) {
+    const float fx = (x + 0.5f) * sx - 0.5f;
+    const int x0 = static_cast<int>(std::floor(fx));
+    const float wx = fx - x0;
+    auto cl = [&](const std::vector<float>& row, int i) {
+      return row[i < 0 ? 0 : (i >= in_w ? in_w - 1 : i)];
+    };
+    want[x] = cl(r0, x0) * (1 - wx) * (1 - wy) +
+              cl(r0, x0 + 1) * wx * (1 - wy) + cl(r1, x0) * (1 - wx) * wy +
+              cl(r1, x0 + 1) * wx * wy;
+  }
+  for (SimdTier tier : supported_tiers()) {
+    std::vector<float> got(out_w);
+    kernels::table_for(tier).upsample_row(r0.data(), r1.data(), in_w, sx, wy,
+                                          out_w, got.data());
+    ASSERT_TRUE(bits_equal(got.data(), want.data(), out_w))
+        << kernels::to_string(tier) << " " << in_w << "->" << out_w;
+  }
+}
+
+TEST(Kernels, UpsampleRowIdenticalAcrossTiersAndReference) {
+  std::mt19937 rng(29);
+  // Assorted ratios, up and down.
+  for (int in_w : {1, 2, 3, 5, 8, 16, 17, 33, 64})
+    for (int out_w : {1, 2, 7, 16, 31, 32, 64, 129})
+      check_upsample_row(in_w, out_w, rng);
+  // Exact 2x (even-width 4:2:0 chroma, the sx == 0.5 permute path) and the
+  // odd-width 4:2:0 ratio, at every width through several vector lengths
+  // and their tails.
+  for (int in_w = 1; in_w <= 96; ++in_w) {
+    check_upsample_row(in_w, 2 * in_w, rng);
+    check_upsample_row(in_w, 2 * in_w - 1, rng);
+  }
+  // The chroma widths of the serving benchmark's photo sizes.
+  for (int in_w : {576, 816, 1000, 1296, 1632, 2000}) {
+    check_upsample_row(in_w, 2 * in_w, rng);
+    check_upsample_row(in_w, 2 * in_w - 1, rng);
   }
 }
 
@@ -794,8 +840,9 @@ TEST(HuffmanLut, InvalidCodeThrowsLikeReference) {
 
 TEST(Dispatch, ParseAndPrintTiers) {
   EXPECT_EQ(kernels::parse_tier("scalar"), SimdTier::kScalar);
-  EXPECT_EQ(kernels::parse_tier("sse2"), SimdTier::kSse2);
   EXPECT_EQ(kernels::parse_tier("avx2"), SimdTier::kAvx2);
+  // There is no SSE2 tier: x86 hosts without AVX2 run scalar.
+  EXPECT_THROW(kernels::parse_tier("sse2"), InvalidArgument);
   EXPECT_THROW(kernels::parse_tier("avx512"), InvalidArgument);
   EXPECT_THROW(kernels::parse_tier(""), InvalidArgument);
   for (SimdTier t : supported_tiers())
