@@ -526,6 +526,38 @@ void emit_codec_json() {
         chunk_identical ? "byte-identical" : "DIVERGED");
   }
 
+  // Serialize at the serving configuration (optimized tables, restart
+  // interval 64, DESIGN.md §11): the restart-segment runs on the pool at 1
+  // and N threads, and the byte identity between them.
+  {
+    exec::configure(exec::Config{1});
+    const jpeg::CoefficientImage coeffs = jpeg::forward_transform(ycc, 75);
+    jpeg::EncodeOptions eo;
+    eo.restart_interval = 64;
+    Bytes ser_1, ser_n;
+    const double ms1 =
+        bench::min_ms(5, [&] { ser_1 = jpeg::serialize(coeffs, eo); });
+    exec::configure(exec::Config{n_threads});
+    const double msn =
+        bench::min_ms(5, [&] { ser_n = jpeg::serialize(coeffs, eo); });
+    exec::configure(exec::Config{});
+    const bool ser_identical = ser_1 == ser_n;
+    std::snprintf(line, sizeof(line),
+                  "  \"serialize_r64_ms_1t\": %.3f,\n"
+                  "  \"serialize_r64_ms_nt\": %.3f,\n"
+                  "  \"serialize_r64_mp_s_1t\": %.3f,\n"
+                  "  \"serialize_r64_mp_s_nt\": %.3f,\n"
+                  "  \"serialize_r64_byte_identical\": %s,\n",
+                  ms1, msn, mp / (ms1 / 1e3), mp / (msn / 1e3),
+                  ser_identical ? "true" : "false");
+    extras += line;
+    std::printf(
+        "serialize (optimized, R=64): %.2f ms @1 thread, %.2f ms @%d "
+        "threads (%.2fx), output %s\n",
+        ms1, msn, n_threads, msn > 0 ? ms1 / msn : 0,
+        ser_identical ? "byte-identical" : "DIVERGED");
+  }
+
   // Decode-side mirror (DESIGN.md §13): segment-parallel entropy decode of a
   // restart-interval stream at 1 and N threads, the serial fused-LUT decode
   // of a plain stream, and the coefficient-identity check between the

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <span>
 
 #include "puppies/common/bytes.h"
@@ -11,51 +13,82 @@ namespace puppies::jpeg {
 /// MSB-first bit writer for JPEG entropy-coded segments. Emits a 0x00 stuff
 /// byte after every 0xFF, as the standard requires.
 ///
-/// The accumulator is 64 bits wide so a Huffman code and its magnitude bits
-/// can be emitted in a single put() (up to 16 + 11 = 27 bits), and whole
-/// bytes drain in bulk: at most 7 bits stay buffered between calls, so each
-/// drain flushes 1..7 bytes at once, with a whole-word 0xFF scan deciding
-/// between a straight append and the per-byte stuffing path.
+/// Bits collect in a 64-bit accumulator until it fills; then the writer
+/// stores one whole 8-byte word. One 0xFF screen per word decides between
+/// that raw store and the per-byte stuffing path, which runs only for a word
+/// that holds a 0xFF byte. Words land in a small staging buffer inside the
+/// writer and reach `out` a block at a time, so the hot path never touches
+/// the vector: `out` holds exactly the stream written so far after every
+/// flush() and restart_marker().
 class BitWriter {
  public:
-  /// Largest `count` a single put() accepts: 7 buffered bits + 57 new bits
-  /// still fit the 64-bit accumulator.
+  /// Largest `count` a single put() accepts. The codec emits at most a
+  /// 16-bit code fused with an 11-bit magnitude.
   static constexpr int kMaxPutBits = 57;
 
   explicit BitWriter(Bytes& out) : out_(out) {}
 
   /// Writes the low `count` bits of `bits` (count in [0, kMaxPutBits]).
-  /// The count contract is a debug assertion: callers in the codec emit at
-  /// most a 16-bit code fused with an 11-bit magnitude.
+  /// The count contract is a debug assertion.
   void put(std::uint64_t bits, int count) {
     assert(count >= 0 && count <= kMaxPutBits);
-    assert(nbits_ >= 0 && nbits_ <= 7);
-    if (count == 0) return;
-    acc_ = (acc_ << count) | (bits & ((std::uint64_t{1} << count) - 1));
-    nbits_ += count;
-    if (nbits_ >= 8) drain();
+    bits &= (std::uint64_t{1} << count) - 1;
+    if (count < free_) {
+      acc_ = (acc_ << count) | bits;
+      free_ -= count;
+      return;
+    }
+    // The word fills: its low `free_` bits are the top of `bits`, and the
+    // `over` bits left over start the next word. Here 1 <= free_ <= count
+    // <= kMaxPutBits, so neither shift reaches 64. Bits of acc_ above the
+    // ones still buffered are stale and shift out before they are stored.
+    const int over = count - free_;
+    put_word((acc_ << free_) | (bits >> over));
+    acc_ = bits;
+    free_ = 64 - over;
   }
 
-  /// Pads the final partial byte with 1-bits and flushes it.
+  /// Pads the final partial byte with 1-bits and writes every buffered byte
+  /// to `out`. The writer is then byte-aligned: restart segments rest on
+  /// this, since a segment's bytes never lean on its neighbour's.
   void flush();
 
   /// Flushes, then emits restart marker RSTn (n in 0..7) unstuffed.
   void restart_marker(int n);
 
-  /// True iff the writer sits on a byte boundary (no buffered bits). This
-  /// is the property the parallel-segment encoder rests on: flush() leaves
-  /// the writer aligned, so a restart segment's bytes are self-contained
-  /// and segments encoded by independent writers concatenate — with RSTn
-  /// markers between them — into exactly the stream one serial writer
-  /// would have produced.
-  bool aligned() const { return nbits_ == 0; }
-
  private:
-  void drain();
-  void emit_byte(std::uint8_t b);
+  /// Staging capacity. A word needs at most 16 bytes (8 stuffed 0xFFs), so
+  /// put_word spills to `out` once fewer than that are free.
+  static constexpr std::size_t kStageBytes = 512;
+
+  void put_word(std::uint64_t w) {
+    if (staged_ + 16 > kStageBytes) spill();
+    // Zero-byte test (bit-twiddling haszero) on ~w: a zero byte there is a
+    // 0xFF byte in w. Exact for "is any byte zero", which is all the branch
+    // needs.
+    const std::uint64_t inv = ~w;
+    if (((inv - 0x0101010101010101ull) & ~inv & 0x8080808080808080ull) != 0) {
+      for (int i = 56; i >= 0; i -= 8)
+        stage_byte(static_cast<std::uint8_t>(w >> i));
+      return;
+    }
+    if constexpr (std::endian::native == std::endian::little)
+      w = __builtin_bswap64(w);
+    std::memcpy(stage_ + staged_, &w, sizeof w);
+    staged_ += sizeof w;
+  }
+  void stage_byte(std::uint8_t b) {
+    stage_[staged_++] = b;
+    if (b == 0xff) stage_[staged_++] = 0x00;  // byte stuffing
+  }
+  void pad_to_byte();
+  void spill();
+
   Bytes& out_;
-  std::uint64_t acc_ = 0;
-  int nbits_ = 0;  ///< buffered bit count; < 8 between put() calls
+  std::uint64_t acc_ = 0;  ///< low 64 - free_ bits are buffered, MSB-first
+  int free_ = 64;          ///< free accumulator bits, in [1, 64]
+  std::size_t staged_ = 0;
+  std::uint8_t stage_[kStageBytes];
 };
 
 /// MSB-first bit reader that un-stuffs 0xFF00 and stops at any other marker.

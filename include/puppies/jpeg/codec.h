@@ -100,6 +100,13 @@ RgbImage decode_to_rgb(const CoefficientImage& coeffs,
 Bytes serialize(const CoefficientImage& coeffs, const EncodeOptions& opts = {},
                 const ScanIndex* scan = nullptr, EncodeStats* stats = nullptr);
 
+/// Restart segments per serialize() pool task. With a restart interval,
+/// the pool encodes runs of this many consecutive segments, each run into
+/// its own buffer with its own histogram and BitWriter. A constant, not a
+/// setting: the decomposition never depends on the thread count, and the
+/// bytes never depend on the decomposition.
+inline constexpr int kSegmentsPerRun = 8;
+
 /// What parse() observed in the entropy-coded scan.
 struct ParseStats {
   /// Restart interval in MCUs from the stream's DRI segment; 0 = none.

@@ -37,14 +37,14 @@ const HuffmanSpec& std_ac_chroma();
 HuffmanSpec build_optimal_spec(const std::array<long, 256>& freq);
 
 /// Symbol histogram of a scan: freq[class][id][symbol], class 0 = DC /
-/// 1 = AC, table id 0 = luma / 1 = chroma. Restart segments gather into
-/// private instances on the exec pool and are merge()d in segment order, so
-/// an optimized-table build sees exactly the counts a serial pass over the
+/// 1 = AC, table id 0 = luma / 1 = chroma. Runs of restart segments gather
+/// into private instances on the exec pool and are merge()d, so an
+/// optimized-table build sees exactly the counts a serial pass over the
 /// whole scan would have produced.
 struct SymbolHistogram {
   std::array<long, 256> freq[2][2] = {};
 
-  /// Element-wise accumulate (folds per-segment histograms).
+  /// Element-wise accumulate (folds per-run histograms).
   void merge(const SymbolHistogram& other);
 };
 

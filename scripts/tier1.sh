@@ -96,13 +96,17 @@ BENCH_STORE_DIR=$(mktemp -d)
 rm -rf "$BENCH_STORE_DIR"
 
 # Codec bench identity gates: the emitted BENCH_codec.json must report the
-# restart-segment parallel encode byte-identical at 1 and N threads, and the
-# segment-parallel decode coefficient-identical to the serial decoder.
+# restart-segment parallel encode byte-identical at 1 and N threads (the
+# chunked pixel encode, and serialize() at the serving configuration:
+# optimized tables, restart interval 64), and the segment-parallel decode
+# coefficient-identical to the serial decoder.
 BENCH_DIR=$(mktemp -d)
 ( cd "$BENCH_DIR" && "$REPO_ROOT/build/bench/codec_throughput" \
     --benchmark_filter='^$' )
 grep -q '"chunked_byte_identical": true' "$BENCH_DIR/BENCH_codec.json" \
   || { echo "BENCH_codec.json: parallel encode diverged across thread counts"; exit 1; }
+grep -q '"serialize_r64_byte_identical": true' "$BENCH_DIR/BENCH_codec.json" \
+  || { echo "BENCH_codec.json: R=64 serialize diverged across thread counts"; exit 1; }
 grep -q '"decode_byte_identical": true' "$BENCH_DIR/BENCH_codec.json" \
   || { echo "BENCH_codec.json: parallel decode diverged from the serial decoder"; exit 1; }
 rm -rf "$BENCH_DIR"
@@ -135,15 +139,20 @@ cmake --build build-tsan -j"$(nproc)" --target tests_store tests_chunked tests_n
 # these runs are what the crash-free claim actually rests on. tests_chunked
 # rides along: the streamed re-encode indexes row windows, rings and halos
 # by hand, and its differential matrix (1-pixel planes, 10x downscales,
-# chunk sizes down to one MCU row) is what walks their edges.
+# chunk sizes down to one MCU row) is what walks their edges. tests_encode
+# rides too: the BitWriter shifts its 64-bit accumulator at word edges (a
+# shift by 64 is undefined) and stores whole words into its staging buffer,
+# and the suite's word-edge differentials walk exactly those paths.
 cmake -B build-asan -S . -DPUPPIES_SANITIZE=address
-cmake --build build-asan -j"$(nproc)" --target tests_fuzz tests_chunked
+cmake --build build-asan -j"$(nproc)" --target tests_fuzz tests_chunked tests_encode
 ./build-asan/tests/tests_fuzz
 ./build-asan/tests/tests_chunked
+./build-asan/tests/tests_encode
 
 cmake -B build-ubsan -S . -DPUPPIES_SANITIZE=undefined
-cmake --build build-ubsan -j"$(nproc)" --target tests_fuzz tests_chunked
+cmake --build build-ubsan -j"$(nproc)" --target tests_fuzz tests_chunked tests_encode
 ./build-ubsan/tests/tests_fuzz
 ./build-ubsan/tests/tests_chunked
+./build-ubsan/tests/tests_encode
 
-echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode + CLI help text + servebench self-test + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec chunked/decode identity gates + tests_store/tests_chunked/tests_net/tests_decode/tests_jpeg under TSan + tests_fuzz/tests_chunked under ASan/UBSan)"
+echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode + CLI help text + servebench self-test + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec chunked/serialize/decode identity gates + tests_store/tests_chunked/tests_net/tests_decode/tests_jpeg under TSan + tests_fuzz/tests_chunked/tests_encode under ASan/UBSan)"

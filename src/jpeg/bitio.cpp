@@ -4,46 +4,33 @@
 
 namespace puppies::jpeg {
 
-void BitWriter::emit_byte(std::uint8_t b) {
-  out_.push_back(b);
-  if (b == 0xff) out_.push_back(0x00);  // byte stuffing
+void BitWriter::spill() {
+  out_.insert(out_.end(), stage_, stage_ + staged_);
+  staged_ = 0;
 }
 
-void BitWriter::drain() {
-  // 1..8 whole buffered bytes; keep the partial-byte remainder buffered.
-  const int whole = nbits_ >> 3;
-  nbits_ &= 7;
-  const std::uint64_t lanes = ~std::uint64_t{0} >> ((8 - whole) * 8);
-  const std::uint64_t w = (acc_ >> nbits_) & lanes;
-  // Fast path: no byte is 0xFF, so no stuffing — append the word in one go.
-  // Zero-byte detection (bit-twiddling haszero) on w ^ lanes: a zero byte
-  // there is a 0xFF byte in w. Exact for "is any byte zero", which is all
-  // the branch needs.
-  const std::uint64_t inv = w ^ lanes;
-  const bool has_ff = ((inv - (0x0101010101010101ull & lanes)) & ~inv &
-                       (0x8080808080808080ull & lanes)) != 0;
-  if (!has_ff) {
-    const std::size_t n = out_.size();
-    out_.resize(n + static_cast<std::size_t>(whole));
-    for (int i = 0; i < whole; ++i)
-      out_[n + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(w >> (8 * (whole - 1 - i)));
-    return;
-  }
-  for (int i = whole - 1; i >= 0; --i)
-    emit_byte(static_cast<std::uint8_t>(w >> (8 * i)));
+void BitWriter::pad_to_byte() {
+  int nbits = 64 - free_;
+  if (nbits == 0) return;
+  const int pad = -nbits & 7;
+  acc_ = (acc_ << pad) | ((std::uint64_t{1} << pad) - 1);  // pad with 1s
+  nbits += pad;
+  if (staged_ + 16 > kStageBytes) spill();
+  for (int i = nbits - 8; i >= 0; i -= 8)
+    stage_byte(static_cast<std::uint8_t>(acc_ >> i));
+  acc_ = 0;
+  free_ = 64;
 }
 
 void BitWriter::flush() {
-  if (nbits_ > 0) {
-    const int pad = 8 - nbits_;
-    put((1u << pad) - 1, pad);  // pad with 1s
-  }
+  pad_to_byte();
+  spill();
 }
 
 void BitWriter::restart_marker(int n) {
   require(n >= 0 && n <= 7, "restart marker index");
-  flush();
+  pad_to_byte();
+  spill();
   // Markers are written raw (never stuffed).
   out_.push_back(0xff);
   out_.push_back(static_cast<std::uint8_t>(0xd0 + n));

@@ -1,6 +1,7 @@
 #include "puppies/jpeg/codec.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdlib>
@@ -30,9 +31,13 @@ constexpr std::uint8_t kSOS = 0xda;
 // Entropy coding. The scan decomposes into restart segments (the whole scan
 // is one segment when there is no restart interval). Each segment starts
 // with fresh DC predictors and — because BitWriter::flush() pads to a byte
-// boundary before every RSTn — owns a self-contained byte range, so
-// segments feed statistics gathering and entropy emission independently on
-// the exec pool and concatenate deterministically (DESIGN.md §11).
+// boundary before every RSTn — owns a self-contained byte range, so runs of
+// consecutive segments feed statistics gathering and entropy emission
+// independently on the exec pool and concatenate deterministically
+// (DESIGN.md §11).
+
+/// DC predictors, one per component (serialize and parse take 1 or 3).
+using DcPredictors = std::array<int, 3>;
 
 /// Run-length walk of one block driven by its nonzero mask: set bits are
 /// visited via countr_zero, zero runs come from position deltas. Emits
@@ -126,7 +131,7 @@ void gather_segment_statistics(const CoefficientImage& img,
                                int mcu_end, SymbolHistogram& stats) {
   // DC predictors start at 0: segment begins either at the scan start or
   // just after a restart marker, both of which reset prediction.
-  std::vector<int> prev_dc(static_cast<std::size_t>(img.component_count()), 0);
+  DcPredictors prev_dc{};
   for_each_block_in_mcu_range(
       img, mcu_begin, mcu_end, [&](int c, int bx, int by) {
         const int t = huff_table_id_for_component(c);
@@ -142,7 +147,7 @@ void encode_segment(const CoefficientImage& img, const ScanIndex& scan,
                     int mcu_begin, int mcu_end,
                     const HuffmanEncoder dc_enc[2],
                     const HuffmanEncoder ac_enc[2], BitWriter& bits) {
-  std::vector<int> prev_dc(static_cast<std::size_t>(img.component_count()), 0);
+  DcPredictors prev_dc{};
   for_each_block_in_mcu_range(
       img, mcu_begin, mcu_end, [&](int c, int bx, int by) {
         const int t = huff_table_id_for_component(c);
@@ -392,14 +397,23 @@ Bytes serialize(const CoefficientImage& coeffs, const EncodeOptions& opts,
   }
 
   // Restart-segment decomposition of the scan: segment s covers MCUs
-  // [s*R, min((s+1)*R, total)); no restart interval = one segment.
+  // [s*R, min((s+1)*R, total)); no restart interval = one segment. The
+  // pool sees runs of kSegmentsPerRun consecutive segments (the static
+  // tiling of exec::parallel_for_chunked), one task-private histogram and
+  // output buffer per run.
   const int total_mcus = total_mcu_count(coeffs);
   const int R = opts.restart_interval;
   const int nseg = R > 0 ? (total_mcus + R - 1) / R : 1;
-  const auto segment_bounds = [&](int s) {
-    const int m0 = R > 0 ? s * R : 0;
+  const auto segment_bounds = [&](std::size_t s) {
+    const int m0 = R > 0 ? static_cast<int>(s) * R : 0;
     return std::pair<int, int>(m0, R > 0 ? std::min(total_mcus, m0 + R)
                                          : total_mcus);
+  };
+  const std::size_t nruns =
+      exec::chunk_count(static_cast<std::size_t>(nseg), kSegmentsPerRun);
+  const auto for_each_run = [&](auto&& fn) {
+    exec::parallel_for_chunked(static_cast<std::size_t>(nseg),
+                               kSegmentsPerRun, fn);
   };
 
   HuffmanSpec dc_spec[2] = {std_dc_luma(), std_dc_chroma()};
@@ -407,15 +421,17 @@ Bytes serialize(const CoefficientImage& coeffs, const EncodeOptions& opts,
   if (stats) *stats = EncodeStats{};
 
   if (opts.huffman == HuffmanMode::kOptimized) {
-    // Per-segment histograms gathered on the pool into preallocated slots,
-    // folded in segment order: identical counts to a serial scan pass.
-    std::vector<SymbolHistogram> seg_hist(static_cast<std::size_t>(nseg));
-    exec::parallel_for(static_cast<std::size_t>(nseg), [&](std::size_t s) {
-      const auto [m0, m1] = segment_bounds(static_cast<int>(s));
-      gather_segment_statistics(coeffs, *scan, m0, m1, seg_hist[s]);
+    // Per-run histograms gathered on the pool into preallocated slots and
+    // folded: identical counts to a serial scan pass.
+    std::vector<SymbolHistogram> run_hist(nruns);
+    for_each_run([&](std::size_t r, std::size_t s0, std::size_t s1) {
+      for (std::size_t s = s0; s < s1; ++s) {
+        const auto [m0, m1] = segment_bounds(s);
+        gather_segment_statistics(coeffs, *scan, m0, m1, run_hist[r]);
+      }
     });
     SymbolHistogram sym;
-    for (const SymbolHistogram& h : seg_hist) sym.merge(h);
+    for (const SymbolHistogram& h : run_hist) sym.merge(h);
     dc_spec[0] = build_optimal_spec(sym.freq[0][0]);
     ac_spec[0] = build_optimal_spec(sym.freq[1][0]);
     if (coeffs.component_count() == 3) {
@@ -462,33 +478,41 @@ Bytes serialize(const CoefficientImage& coeffs, const EncodeOptions& opts,
       bits.flush();
     } else {
       // Restart segments are independently encodable: each starts with
-      // fresh DC predictors, and flush() leaves every BitWriter
-      // byte-aligned, so segment bytes never depend on their neighbours.
-      // Encode them on the pool into per-segment buffers, then concatenate
-      // in segment order with the RSTn markers interleaved — byte-identical
-      // to a serial scan writer at any thread count.
-      std::vector<Bytes> seg(static_cast<std::size_t>(nseg));
-      exec::parallel_for(static_cast<std::size_t>(nseg), [&](std::size_t s) {
-        const auto [m0, m1] = segment_bounds(static_cast<int>(s));
-        BitWriter bits(seg[s]);
-        encode_segment(coeffs, *scan, m0, m1, dc_enc, ac_enc, bits);
-        bits.flush();
-        // Fault hook: flip a byte of this finished segment, so tests can
-        // prove a bad parallel worker stays contained to its segment.
-        if (fault::point("jpeg.encode.segment") && !seg[s].empty())
-          seg[s][seg[s].size() / 2] ^= 0x40;
+      // fresh DC predictors, and flush() leaves the BitWriter byte-aligned,
+      // so segment bytes never depend on their neighbours. A run encodes
+      // its segments with the RSTn markers between them; runs concatenate
+      // in order with the marker after each run's last segment — the
+      // serial writer's bytes at any thread count.
+      struct alignas(64) RunBytes {  // no cache line shared across runs
+        Bytes bytes;
+      };
+      std::vector<RunBytes> runs(nruns);
+      for_each_run([&](std::size_t r, std::size_t s0, std::size_t s1) {
+        Bytes& buf = runs[r].bytes;
+        BitWriter bits(buf);
+        for (std::size_t s = s0; s < s1; ++s) {
+          // Same marker index the serial writer emitted before MCU s * R.
+          if (s > s0) bits.restart_marker(static_cast<int>((s - 1) % 8));
+          const std::size_t seg_begin = buf.size();
+          const auto [m0, m1] = segment_bounds(s);
+          encode_segment(coeffs, *scan, m0, m1, dc_enc, ac_enc, bits);
+          bits.flush();
+          // Fault hook: flip a byte of this finished segment, so tests can
+          // prove a bad parallel worker stays contained to its segment.
+          if (fault::point("jpeg.encode.segment") && buf.size() > seg_begin)
+            buf[seg_begin + (buf.size() - seg_begin) / 2] ^= 0x40;
+        }
       });
       std::size_t entropy_total = 0;
-      for (const Bytes& b : seg) entropy_total += b.size() + 2;
+      for (const RunBytes& run : runs) entropy_total += run.bytes.size() + 2;
       out.reserve(out.size() + entropy_total);
-      for (int s = 0; s < nseg; ++s) {
-        const Bytes& b = seg[static_cast<std::size_t>(s)];
+      for (std::size_t r = 0; r < nruns; ++r) {
+        const Bytes& b = runs[r].bytes;
         out.insert(out.end(), b.begin(), b.end());
-        if (s + 1 < nseg) {
-          // Same marker index the serial writer emitted before MCU
-          // (s + 1) * R: ((m / R) - 1) % 8 == s % 8.
+        if (r + 1 < nruns) {
+          const std::size_t last_seg = (r + 1) * kSegmentsPerRun - 1;
           out.push_back(kMarkerPrefix);
-          out.push_back(static_cast<std::uint8_t>(0xd0 + s % 8));
+          out.push_back(static_cast<std::uint8_t>(0xd0 + last_seg % 8));
         }
       }
     }
@@ -579,8 +603,7 @@ bool try_parallel_decode(CoefficientImage& img,
     const int m1 = std::min(total_mcus, m0 + R);
     BitReader bits(
         entropy.subspan(segs[s].begin, segs[s].end - segs[s].begin));
-    std::vector<int> prev_dc(static_cast<std::size_t>(img.component_count()),
-                             0);
+    DcPredictors prev_dc{};
     try {
       for_each_block_in_mcu_range(img, m0, m1, [&](int c, int bx, int by) {
         const FrameComponent& fc = fcs[static_cast<std::size_t>(c)];
@@ -791,13 +814,13 @@ CoefficientImage parse_impl(std::span<const std::uint8_t> data,
   // path never throws — it re-runs this loop over re-zeroed planes, so a
   // half-written parallel attempt leaves no residue).
   BitReader bits(entropy);
-  std::vector<int> prev_dc(static_cast<std::size_t>(scan_ncomp), 0);
+  DcPredictors prev_dc{};
   for_each_block_in_scan_order(
       img,
       [&](int mcu) {
         if (restart_interval > 0 && mcu > 0 && mcu % restart_interval == 0) {
           bits.expect_restart_marker((mcu / restart_interval - 1) % 8);
-          std::fill(prev_dc.begin(), prev_dc.end(), 0);
+          prev_dc.fill(0);
         }
       },
       [&](int c, int bx, int by) {

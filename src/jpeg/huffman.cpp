@@ -1,5 +1,7 @@
 #include "puppies/jpeg/huffman.h"
 
+#include <climits>
+
 #include "puppies/common/error.h"
 
 namespace puppies::jpeg {
@@ -86,15 +88,18 @@ HuffmanSpec build_optimal_spec(const std::array<long, 256>& histogram) {
 
   for (;;) {
     // Find the two least-frequent nonzero entries (c1 lowest, break ties by
-    // larger symbol value per libjpeg).
+    // larger symbol value per libjpeg). libjpeg starts the search at 1e9,
+    // which leaves any entry (or merged subtree) counted above that out of
+    // the tree, so a symbol can end up with no code. LONG_MAX picks the same
+    // entries whenever the histogram's total stays below 1e9.
     int c1 = -1, c2 = -1;
-    long v = 1000000000L;
+    long v = LONG_MAX;
     for (int i = 0; i <= 256; ++i)
       if (freq[static_cast<std::size_t>(i)] && freq[static_cast<std::size_t>(i)] <= v) {
         v = freq[static_cast<std::size_t>(i)];
         c1 = i;
       }
-    v = 1000000000L;
+    v = LONG_MAX;
     for (int i = 0; i <= 256; ++i)
       if (freq[static_cast<std::size_t>(i)] && freq[static_cast<std::size_t>(i)] <= v && i != c1) {
         v = freq[static_cast<std::size_t>(i)];

@@ -329,13 +329,28 @@ TEST(ParallelSegments, ByteIdenticalAcrossThreadCountsAndSchemes) {
       core::Scheme::kZero};
   for (jpeg::ChromaMode mode :
        {jpeg::ChromaMode::k444, jpeg::ChromaMode::k420}) {
+    // 160x80: 200 MCUs in 4:4:4, 50 in 4:2:0.
     const jpeg::CoefficientImage base =
-        jpeg::forward_transform(rgb_to_ycc(scene(96, 64)), 75, mode);
+        jpeg::forward_transform(rgb_to_ycc(scene(160, 80)), 75, mode);
+    const int mcus = base.blocks_w() / base.component(0).h *
+                     (base.blocks_h() / base.component(0).v);
+    // Besides the fixed densities, intervals that leave serialize()'s last
+    // segment run one short of full, or one segment into a second or a
+    // third run.
+    std::vector<int> restarts = {0, 1, 4, 64};
+    for (int segments : {jpeg::kSegmentsPerRun - 1, jpeg::kSegmentsPerRun + 1,
+                         2 * jpeg::kSegmentsPerRun + 1}) {
+      int interval = 0;
+      for (int r = 1; r <= mcus && interval == 0; ++r)
+        if ((mcus + r - 1) / r == segments) interval = r;
+      ASSERT_GT(interval, 0) << "no interval gives " << segments;
+      restarts.push_back(interval);
+    }
     for (core::Scheme s : schemes) {
       const jpeg::CoefficientImage img = perturbed(base, s);
       for (jpeg::HuffmanMode hm :
            {jpeg::HuffmanMode::kStandard, jpeg::HuffmanMode::kOptimized}) {
-        for (int restart : {0, 1, 4, 64}) {
+        for (int restart : restarts) {
           jpeg::EncodeOptions opts;
           opts.huffman = hm;
           opts.restart_interval = restart;

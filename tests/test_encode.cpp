@@ -18,6 +18,7 @@
 
 #include "puppies/common/rng.h"
 #include "puppies/core/pipeline.h"
+#include "puppies/exec/pool.h"
 #include "puppies/jpeg/bitio.h"
 #include "puppies/jpeg/codec.h"
 #include "puppies/jpeg/huffman.h"
@@ -268,10 +269,38 @@ Bytes ref_serialize(const jpeg::CoefficientImage& img,
 // ---------------------------------------------------------------------------
 // Corpus.
 
-jpeg::CoefficientImage scene_coeffs(jpeg::ChromaMode mode) {
+jpeg::CoefficientImage scene_coeffs(jpeg::ChromaMode mode, int w = 96,
+                                    int h = 64) {
   const synth::SceneImage s =
-      synth::generate(synth::Dataset::kPascal, 1, 96, 64);
+      synth::generate(synth::Dataset::kPascal, 1, w, h);
   return jpeg::forward_transform(rgb_to_ycc(s.image), 75, mode);
+}
+
+int total_mcus(const jpeg::CoefficientImage& img) {
+  return img.blocks_w() / img.component(0).h *
+         (img.blocks_h() / img.component(0).v);
+}
+
+/// A restart interval that splits `mcus` MCUs into exactly `segments`
+/// restart segments, or 0 when none does.
+int interval_for_segments(int mcus, int segments) {
+  for (int r = 1; r <= mcus; ++r)
+    if ((mcus + r - 1) / r == segments) return r;
+  return 0;
+}
+
+/// Restart intervals that put serialize()'s segment-run edges in play: a
+/// scan one segment short of a full run, one segment into a second run, and
+/// one segment into a third.
+std::vector<int> run_edge_intervals(const jpeg::CoefficientImage& img) {
+  std::vector<int> out;
+  for (int segments : {jpeg::kSegmentsPerRun - 1, jpeg::kSegmentsPerRun + 1,
+                       2 * jpeg::kSegmentsPerRun + 1}) {
+    const int r = interval_for_segments(total_mcus(img), segments);
+    EXPECT_GT(r, 0) << "no interval gives " << segments << " segments";
+    if (r > 0) out.push_back(r);
+  }
+  return out;
 }
 
 jpeg::CoefficientImage perturbed(const jpeg::CoefficientImage& img,
@@ -357,6 +386,100 @@ TEST(BitWriterDifferential, FusedCodePlusMagnitudeBoundary) {
   fast.flush();
   ref.flush();
   EXPECT_EQ(fast_bytes, ref_bytes);
+}
+
+// Word edges of the 64-bit accumulator: the 64th buffered bit stores one
+// 8-byte word, and flush() writes whatever whole bytes remain.
+
+/// Feeds the same calls to BitWriter and to the reference writer.
+struct WriterPair {
+  Bytes fast_bytes, ref_bytes;
+  jpeg::BitWriter fast{fast_bytes};
+  RefBitWriter ref{ref_bytes};
+
+  /// Puts `count` (<= 64) bits as two puts of at most 32 bits each.
+  void put(std::uint64_t bits, int count) {
+    const int hi = count > 32 ? count - 32 : 0;
+    if (hi > 0) {
+      fast.put(bits >> 32, hi);
+      ref.put(bits >> 32, hi);
+    }
+    fast.put(bits, count - hi);
+    ref.put(bits, count - hi);
+  }
+  void restart_marker(int n) {
+    fast.restart_marker(n);
+    ref.restart_marker(n);
+  }
+  void flush() {
+    fast.flush();
+    ref.flush();
+  }
+};
+
+TEST(BitWriterDifferential, PutThatExactlyFillsTheWord) {
+  for (int first = 64 - jpeg::BitWriter::kMaxPutBits;
+       first <= jpeg::BitWriter::kMaxPutBits; ++first) {
+    for (std::uint64_t fill : {std::uint64_t{0x0123456789abcdef}, ~std::uint64_t{0}}) {
+      WriterPair w;
+      for (int word = 0; word < 3; ++word) {
+        w.fast.put(fill, first);
+        w.ref.put(fill, first);
+        w.fast.put(fill >> 3, 64 - first);
+        w.ref.put(fill >> 3, 64 - first);
+      }
+      w.put(0x5, 3);
+      w.flush();
+      ASSERT_EQ(w.fast_bytes, w.ref_bytes) << "first put " << first;
+    }
+  }
+}
+
+TEST(BitWriterDifferential, FfByteAtEveryWordPosition) {
+  for (int pos = 0; pos < 8; ++pos) {
+    WriterPair w;
+    const std::uint64_t word =
+        0x1122334455667788ull | (0xffull << (8 * (7 - pos)));
+    w.put(word, 64);  // the first word of the stream
+    w.put(0x0102030405060708ull, 64);
+    w.flush();
+    ASSERT_EQ(w.fast_bytes, w.ref_bytes) << "0xFF at byte " << pos;
+    ASSERT_EQ(w.fast_bytes.size(), 17u);  // 16 bytes + one stuff byte
+    EXPECT_EQ(w.fast_bytes[static_cast<std::size_t>(pos) + 1], 0x00);
+  }
+}
+
+TEST(BitWriterDifferential, FlushWithEveryBufferedBitCount) {
+  for (int n = 1; n <= 63; ++n) {
+    for (std::uint64_t bits : {std::uint64_t{0xa5c3f00f96e1b47d},
+                               ~std::uint64_t{0}, std::uint64_t{0}}) {
+      for (bool after_word : {false, true}) {
+        WriterPair w;
+        if (after_word) w.put(0x0f1e2d3c4b5a6978ull, 64);
+        w.put(bits, n);
+        w.flush();
+        w.put(bits >> 1, 9);  // the writer keeps going after a flush
+        w.flush();
+        ASSERT_EQ(w.fast_bytes, w.ref_bytes)
+            << n << " bits buffered, after word " << after_word;
+      }
+    }
+  }
+}
+
+TEST(BitWriterDifferential, RestartMarkerRightAfterAWordStore) {
+  for (std::uint64_t word : {std::uint64_t{0x0123456789abcdef}, ~std::uint64_t{0}}) {
+    for (int words = 1; words <= 3; ++words) {
+      WriterPair w;
+      for (int i = 0; i < words; ++i) w.put(word, 64);
+      w.restart_marker(words % 8);
+      w.put(word, 5);
+      w.restart_marker((words + 1) % 8);
+      w.restart_marker((words + 2) % 8);  // nothing buffered: marker only
+      w.flush();
+      ASSERT_EQ(w.fast_bytes, w.ref_bytes) << words << " words";
+    }
+  }
 }
 
 TEST(BitWriter, ZeroCountPutIsANoop) {
@@ -451,17 +574,21 @@ TEST(EncodeDifferential, CorpusMatchesSeedEncoderByteForByte) {
       core::Scheme::kNaive, core::Scheme::kBase, core::Scheme::kCompression,
       core::Scheme::kZero};
   for (jpeg::ChromaMode mode : {jpeg::ChromaMode::k444, jpeg::ChromaMode::k420}) {
-    const jpeg::CoefficientImage base = scene_coeffs(mode);
+    // 160x80: 200 MCUs in 4:4:4 and 50 in 4:2:0, so every run edge below
+    // has an interval that reaches it.
+    const jpeg::CoefficientImage base = scene_coeffs(mode, 160, 80);
     std::vector<jpeg::CoefficientImage> corpus = {base};
     for (core::Scheme s : schemes) corpus.push_back(perturbed(base, s));
+    // 0 = single segment, 1 = one MCU per segment (maximum marker density),
+    // 3 = short segments with a ragged tail, 64 = few long segments, then
+    // the segment counts around serialize()'s run edges. The segment-run
+    // serialize path must hit the seed bytes at every density.
+    std::vector<int> restarts = {0, 1, 3, 64};
+    for (int r : run_edge_intervals(base)) restarts.push_back(r);
     for (std::size_t i = 0; i < corpus.size(); ++i) {
       for (jpeg::HuffmanMode hm :
            {jpeg::HuffmanMode::kStandard, jpeg::HuffmanMode::kOptimized}) {
-        // 0 = single segment, 1 = one MCU per segment (maximum marker
-        // density), 3 = short segments with a ragged tail, 64 = interval
-        // larger than the whole scan. The parallel-segment serialize path
-        // must hit the seed bytes at every density.
-        for (int restart : {0, 1, 3, 64}) {
+        for (int restart : restarts) {
           jpeg::EncodeOptions opts;
           opts.huffman = hm;
           opts.restart_interval = restart;
@@ -514,6 +641,27 @@ TEST(EncodeDifferential, GrayImageMatchesSeedEncoder) {
     opts.huffman = hm;
     EXPECT_EQ(jpeg::serialize(img, opts), ref_serialize(img, opts));
   }
+}
+
+TEST(EncodeDifferential, PhotoSizedScanWithRaggedLastRunMatchesSeedEncoder) {
+  // 1632x1232 4:4:4 at R=64, the serving interval: 31416 MCUs in 491
+  // segments, so the last of 62 runs holds 3.
+  const synth::SceneImage s =
+      synth::generate(synth::Dataset::kPascal, 5, 1632, 1232);
+  const jpeg::CoefficientImage img =
+      jpeg::forward_transform(rgb_to_ycc(s.image), 85);
+  jpeg::EncodeOptions opts;
+  opts.huffman = jpeg::HuffmanMode::kOptimized;
+  opts.restart_interval = 64;
+  const int segments = (total_mcus(img) + 63) / 64;
+  ASSERT_EQ(segments, 491);
+  ASSERT_NE(segments % jpeg::kSegmentsPerRun, 0);
+  const Bytes want = ref_serialize(img, opts);
+  for (int threads : {1, 4}) {
+    exec::configure(exec::Config{threads});
+    EXPECT_EQ(jpeg::serialize(img, opts), want) << threads << " threads";
+  }
+  exec::configure(exec::Config{});
 }
 
 // ---------------------------------------------------------------------------
@@ -610,6 +758,47 @@ TEST(OptimizedRoundTrip, Chroma420Exact) {
   jpeg::EncodeOptions opts;
   opts.huffman = jpeg::HuffmanMode::kOptimized;
   EXPECT_EQ(jpeg::parse(jpeg::serialize(img, opts)), img);
+}
+
+TEST(OptimalSpec, CountsAboveOneBillionKeepEveryCode) {
+  // {1.5e9, 10, 20, 30}: a single count above 1e9. {6e8, 6e8, 7e8}: every
+  // count below 1e9, but a merged subtree above it. A 4:4:4 scan near the
+  // 1 GP decode limit reaches both in its shared chroma AC table.
+  const std::vector<std::vector<long>> cases = {
+      {1'500'000'000L, 10, 20, 30}, {600'000'000L, 600'000'000L, 700'000'000L}};
+  for (const std::vector<long>& counts : cases) {
+    std::array<long, 256> freq{};
+    std::vector<std::uint8_t> symbols;
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      freq[i] = counts[i];
+      symbols.push_back(static_cast<std::uint8_t>(i));
+    }
+    const jpeg::HuffmanSpec spec = jpeg::build_optimal_spec(freq);
+    const jpeg::HuffmanEncoder enc(spec);
+    double kraft = 0;
+    for (int sym = 0; sym < 256; ++sym) {
+      const int len = enc.code_length(static_cast<std::uint8_t>(sym));
+      if (freq[static_cast<std::size_t>(sym)] == 0) {
+        EXPECT_EQ(len, 0) << "symbol " << sym;
+        continue;
+      }
+      EXPECT_GE(len, 1) << "symbol " << sym << " has no code";
+      EXPECT_LE(len, 16) << "symbol " << sym;
+      kraft += 1.0 / static_cast<double>(1 << len);
+    }
+    EXPECT_LE(kraft, 1.0);
+
+    for (int i = 0; i < 3; ++i)
+      symbols.insert(symbols.end(), symbols.begin(),
+                     symbols.begin() + static_cast<long>(counts.size()));
+    Bytes data;
+    jpeg::BitWriter bits(data);
+    for (std::uint8_t sym : symbols) enc.emit(bits, sym);
+    bits.flush();
+    const jpeg::HuffmanDecoder dec(spec);
+    jpeg::BitReader in(data);
+    for (std::uint8_t sym : symbols) ASSERT_EQ(dec.decode(in), sym);
+  }
 }
 
 // ---------------------------------------------------------------------------
